@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: reduce mincol, reduce 3col, verify-sequence, tww-exact,
-chromatic, sat, nae, roundtrip.  Exit code 0 when all checks pass, 1
-when a check fails (the failing invariant is named in the report), 2 on
-usage or input errors.  The TWINWIDTH_BUDGET environment variable
-overrides the default oracle node budget where --budget is not given.
+chromatic, sat, nae, roundtrip.  Each returns a RunReport that `main`
+times and prints.  Exit code 0 when all checks pass, 1 when a check
+fails (the failing invariant is named in the report), 2 on usage or
+input errors.  The TWINWIDTH_BUDGET environment variable overrides the
+default oracle node budget where --budget is not given.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import formats
-from .cnf import Dialect
+from .cnf import CnfFormula, Dialect
 from .contraction import verify_d_sequence
 from .errors import BudgetExceeded, ParseError, TwinwidthError
 from .mincol import (build_mincol, build_mincol_3sequence,
@@ -32,16 +33,20 @@ DEFAULT_BUDGET = 20_000_000
 
 
 def _budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
-    env = os.environ.get("TWINWIDTH_BUDGET")
-    if env is not None:
+    env = os.environ.get("TWINWIDTH_BUDGET", str(DEFAULT_BUDGET))
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise ParseError(f"TWINWIDTH_BUDGET is not an integer: {env!r}") from None
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _maybe_write(path: str | None, text: str) -> None:
@@ -49,70 +54,72 @@ def _maybe_write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _profile_summary(report: RunReport, profile) -> None:
-    report.add("width.max", profile.overall_width)
-    report.add("width.argmax_step", profile.argmax_step)
-
-
-def _finish(report: RunReport, started: float) -> int:
-    report.add("wall_time_s", f"{time.perf_counter() - started:.3f}")
-    sys.stdout.write(report.render())
-    return 0 if report.ok else 1
-
-
-def _cmd_reduce(args) -> int:
-    started = time.perf_counter()
-    kind = args.target
-    report = RunReport(f"reduce {kind} {args.cnf}")
-    dialect = Dialect.THREE_SAT if kind == "mincol" else Dialect.NAE_THREE_SAT
-    formula = formats.parse_dimacs_cnf(_read(args.cnf), dialect)
+def _read_formula(report: RunReport, path: str, nae: bool) -> CnfFormula:
+    dialect = Dialect.NAE_THREE_SAT if nae else Dialect.THREE_SAT
+    formula = formats.parse_dimacs_cnf(_read(path), dialect)
     report.add("n", formula.n_vars)
     report.add("m", formula.n_clauses)
-    if kind == "mincol":
-        inst = build_mincol(formula)
-        seq = build_mincol_3sequence(inst)
-        bound = 3
-        graph = inst.graph
-        report.add("color_budget", inst.color_budget)
-    else:
-        inst = build_3col(formula)
-        if args.k is not None and args.k != 3:
-            lifted = lift_to_k(inst, args.k)
-            graph, seq = lifted.graph, lifted.sequence
-            report.add("k", args.k)
-        else:
-            graph, seq = inst.graph, build_3col_4sequence(inst)
-        bound = 4
-    report.add("N", graph.n)
-    report.add("edges", len(graph.black))
+    return formula
+
+
+def _certify(report: RunReport, graph, seq, bound: int, failure: str) -> None:
+    """Replay seq on graph and report its width profile; above bound, fail with `failure`."""
     ok, profile = verify_d_sequence(graph, seq, bound)
-    _profile_summary(report, profile)
+    report.add("width.max", profile.overall_width)
+    report.add("width.argmax_step", profile.argmax_step)
     report.add(f"sequence_ok_at_{bound}", ok)
     if not ok:
-        report.fail(f"generated sequence exceeds width {bound}")
+        report.fail(failure.format(width=profile.overall_width, bound=bound))
+
+
+def _build(report: RunReport, args):
+    """Build the reduction instance named by args.target and certify its sequence.
+
+    mincol: 3-SAT to the coloring number, width 3.  3col: NAE-3-SAT to
+    3-coloring, width 4, lifted to args.k colors when that is given and
+    not 3.  Returns the instance, graph, sequence and color budget.
+    """
+    formula = _read_formula(report, args.cnf, nae=args.target == "3col")
+    k = getattr(args, "k", None)
+    if args.target == "mincol":
+        inst = build_mincol(formula)
+        graph, seq, bound, colors = inst.graph, build_mincol_3sequence(inst), 3, inst.color_budget
+        report.add("color_budget", colors)
+    else:
+        inst = build_3col(formula)
+        bound = 4
+        if k is not None and k != 3:
+            lifted = lift_to_k(inst, k)
+            graph, seq, colors = lifted.graph, lifted.sequence, k
+            report.add("k", k)
+        else:
+            graph, seq, colors = inst.graph, build_3col_4sequence(inst), 3
+    report.add("N", graph.n)
+    report.add("edges", len(graph.black))
+    _certify(report, graph, seq, bound, "generated sequence exceeds width {bound}")
+    return inst, graph, seq, colors
+
+
+def _cmd_reduce(args) -> RunReport:
+    report = RunReport(f"reduce {args.target} {args.cnf}")
+    _, graph, seq, _ = _build(report, args)
     _maybe_write(args.graph, formats.write_trigraph(graph))
     _maybe_write(args.sequence, formats.write_sequence(seq))
     _maybe_write(args.roles, formats.write_roles(graph))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_verify_sequence(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify_sequence(args) -> RunReport:
     report = RunReport(f"verify-sequence {args.graph} {args.sequence}")
     g = formats.read_trigraph(_read(args.graph))
     seq = formats.read_sequence(_read(args.sequence))
     report.add("N", g.n)
     report.add("steps", len(seq.steps))
-    ok, profile = verify_d_sequence(g, seq, args.max_width)
-    _profile_summary(report, profile)
-    report.add(f"sequence_ok_at_{args.max_width}", ok)
-    if not ok:
-        report.fail(f"width {profile.overall_width} exceeds bound {args.max_width}")
-    return _finish(report, started)
+    _certify(report, g, seq, args.max_width, "width {width} exceeds bound {bound}")
+    return report
 
 
-def _cmd_tww_exact(args) -> int:
-    started = time.perf_counter()
+def _cmd_tww_exact(args) -> RunReport:
     report = RunReport(f"tww-exact {args.graph}")
     g = formats.read_trigraph(_read(args.graph))
     report.add("N", g.n)
@@ -120,114 +127,88 @@ def _cmd_tww_exact(args) -> int:
         width, seq = exact_twinwidth(g, _budget(args))
     except BudgetExceeded as exc:
         report.skip(f"budget exceeded; best upper bound {exc.upper}")
-        return _finish(report, started)
+        return report
     report.add("twin_width", width)
     ok, _ = verify_d_sequence(g, seq, width)
     if not ok:
         report.fail("witness sequence does not verify at the reported width")
     _maybe_write(args.witness, formats.write_sequence(seq))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_chromatic(args) -> int:
-    started = time.perf_counter()
+def _cmd_chromatic(args) -> RunReport:
     report = RunReport(f"chromatic {args.graph}")
     g = formats.read_trigraph(_read(args.graph))
     report.add("N", g.n)
     try:
-        chi = chromatic_number(g, _budget(args))
+        chi, witness = chromatic_number(g, _budget(args))
     except BudgetExceeded as exc:
         report.skip(f"budget exceeded; bounds [{exc.lower}, {exc.upper}]")
-        return _finish(report, started)
+        return report
     report.add("chromatic_number", chi)
-    ok, witness = is_k_colorable(g, chi, _budget(args))
-    if not ok or not is_proper(g, witness):
+    if not is_proper(g, witness):
         report.fail("witness coloring rejected by the propriety checker")
     _maybe_write(args.coloring, formats.write_coloring(witness))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_solve(args) -> int:
-    started = time.perf_counter()
+def _cmd_solve(args) -> RunReport:
     nae = args.command == "nae"
     report = RunReport(f"{args.command} {args.cnf}")
-    dialect = Dialect.NAE_THREE_SAT if nae else Dialect.THREE_SAT
-    formula = formats.parse_dimacs_cnf(_read(args.cnf), dialect)
-    report.add("n", formula.n_vars)
-    report.add("m", formula.n_clauses)
+    formula = _read_formula(report, args.cnf, nae)
     model = solve_nae(formula) if nae else solve_sat(formula)
     report.add("satisfiable", model is not None)
     if model is not None:
         report.add("assignment", " ".join(
             str(v if model[v] else -v) for v in sorted(model)))
         _maybe_write(args.assignment, formats.write_assignment(model))
-    return _finish(report, started)
+    return report
 
 
-def _cmd_roundtrip(args) -> int:
-    started = time.perf_counter()
-    kind = "mincol" if args.mincol else "3col"
-    report = RunReport(f"roundtrip --{kind} {args.cnf}")
-    report.add("seed", args.seed if args.seed is not None else "none")
+def _cmd_roundtrip(args) -> RunReport:
+    mincol = args.target == "mincol"
+    report = RunReport(f"roundtrip --{args.target} {args.cnf}")
     budget = _budget(args)
-    dialect = Dialect.THREE_SAT if kind == "mincol" else Dialect.NAE_THREE_SAT
-    formula = formats.parse_dimacs_cnf(_read(args.cnf), dialect)
-    report.add("n", formula.n_vars)
-    report.add("m", formula.n_clauses)
-
-    if kind == "mincol":
-        inst = build_mincol(formula)
-        graph, seq, bound, k = inst.graph, build_mincol_3sequence(inst), 3, inst.color_budget
-        solve = solve_sat
-        forward = mincol_coloring_from_assignment
-        backward = mincol_assignment_from_coloring
+    inst, graph, _, k = _build(report, args)
+    if mincol:
+        solve, forward, backward = (solve_sat, mincol_coloring_from_assignment,
+                                    mincol_assignment_from_coloring)
     else:
-        inst = build_3col(formula)
-        graph, seq, bound, k = inst.graph, build_3col_4sequence(inst), 4, 3
-        solve = solve_nae
-        forward = threecol_coloring_from_assignment
-        backward = threecol_assignment_from_coloring
-    report.add("N", graph.n)
-    report.add("edges", len(graph.black))
+        solve, forward, backward = (solve_nae, threecol_coloring_from_assignment,
+                                    threecol_assignment_from_coloring)
 
-    ok, profile = verify_d_sequence(graph, seq, bound)
-    _profile_summary(report, profile)
-    report.add(f"sequence_ok_at_{bound}", ok)
-    if not ok:
-        report.fail(f"generated sequence exceeds width {bound}")
-
-    model = solve(formula)
+    model = solve(inst.formula)
     report.add("satisfiable", model is not None)
 
-    colorable = None
     try:
         colorable, witness = is_k_colorable(graph, k, budget)
-        report.add(f"colorable_{k}", colorable)
     except BudgetExceeded:
         report.skip(f"{k}-colorability oracle over budget")
-    if colorable is not None and colorable != (model is not None):
-        report.fail("oracle colorability verdict disagrees with satisfiability")
-    if colorable and witness is not None:
-        backward(inst, witness)
-        report.add("oracle_witness_roundtrip", "ok")
+    else:
+        report.add(f"colorable_{k}", colorable)
+        if colorable != (model is not None):
+            report.fail("oracle colorability verdict disagrees with satisfiability")
+        if colorable:
+            backward(inst, witness)
+            report.add("oracle_witness_roundtrip", "ok")
 
     if model is not None:
         col = forward(inst, model)
         if not is_proper(graph, col):
             report.fail("forward coloring is not proper")
-        if kind == "mincol" and len(set(col.colors)) != k:
+        if mincol and len(set(col.colors)) != k:
             report.fail("forward coloring does not use exactly 2n colors")
         backward(inst, col)
         report.add("forward_backward_roundtrip", "ok")
-        if kind == "mincol":
+        if mincol:
             try:
-                chi = chromatic_number(graph, budget)
+                chi, _ = chromatic_number(graph, budget)
                 report.add("chromatic_number", chi)
                 if chi != k:
                     report.fail("chromatic number differs from the color budget")
             except BudgetExceeded:
                 report.skip("chromatic number oracle over budget")
-    return _finish(report, started)
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,26 +253,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="full build/verify/solve/map pipeline")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mincol", action="store_true")
-    group.add_argument("--3col", dest="threecol", action="store_true")
+    group.add_argument("--mincol", dest="target", action="store_const", const="mincol")
+    group.add_argument("--3col", dest="target", action="store_const", const="3col")
     p.add_argument("cnf")
     p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_roundtrip)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except FileNotFoundError as exc:
+        report = args.func(args)
+    except (OSError, TwinwidthError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ParseError, TwinwidthError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    report.add("wall_time_s", f"{time.perf_counter() - started:.3f}")
+    sys.stdout.write(report.render())
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

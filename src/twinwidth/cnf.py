@@ -98,10 +98,6 @@ def nae_satisfies(formula: CnfFormula, assignment: Assignment) -> bool:
     return True
 
 
-def complement(assignment: Assignment) -> Assignment:
-    return {v: not b for v, b in assignment.items()}
-
-
 def random_formula(n_vars: int, n_clauses: int, dialect: Dialect,
                    rng: random.Random) -> CnfFormula:
     """Draw a valid random formula (every variable covered).

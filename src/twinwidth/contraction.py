@@ -56,11 +56,13 @@ class WidthProfile:
         return self.per_step_width.index(self.overall_width) + 1
 
 
-def sequence_from_vertex_merges(n: int, merges: Iterable[tuple[int, int]]) -> PartitionSequence:
+def sequence_from_vertex_merges(n: int, merges: Iterable[tuple[int, int]],
+                                base: int = 0) -> PartitionSequence:
     """Normalize a merge script into a PartitionSequence.
 
     Each named vertex stands for its current part (union-find semantics);
-    normalized steps name the two parts' smallest members.
+    normalized steps name the two parts' smallest members.  Error
+    messages show vertex ids plus `base`; readers of 1-based files pass 1.
     """
     parent = list(range(n))
 
@@ -73,10 +75,11 @@ def sequence_from_vertex_merges(n: int, merges: Iterable[tuple[int, int]]) -> Pa
     steps = []
     for u, v in merges:
         if not (0 <= u < n and 0 <= v < n):
-            raise SequenceError(f"merge ({u},{v}) out of range for n={n}")
+            raise SequenceError(f"merge ({u + base},{v + base}) out of range for n={n}")
         ru, rv = find(u), find(v)
         if ru == rv:
-            raise SequenceError(f"merge ({u},{v}) names two vertices already in the same part")
+            raise SequenceError(
+                f"merge ({u + base},{v + base}) names two vertices already in the same part")
         lo, hi = (ru, rv) if ru < rv else (rv, ru)
         parent[hi] = lo
         steps.append(MergeStep(lo, hi))
@@ -93,7 +96,6 @@ class ContractionState:
         self.n = n
         self.size = [1] * n
         self.live: set[int] = set(range(n))
-        self.members: list[set[int]] = [{v} for v in range(n)]
         # cross[p][q] -> [black, red] cross-pair counts; the same list
         # object is shared under both keys.
         self.cross: list[dict[int, list[int]]] = [dict() for _ in range(n)]
@@ -145,8 +147,6 @@ class ContractionState:
         size[b] = 0
         cross[b] = dict()
         red_adj[b] = set()
-        self.members[a] |= self.members[b]
-        self.members[b] = set()
         return a
 
     def red_degree(self, p: int) -> int:

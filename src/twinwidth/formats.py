@@ -9,8 +9,8 @@ byte-exact.  Lines starting with '#' are comments in the native formats,
 from __future__ import annotations
 
 from .cnf import Clause, CnfFormula, Dialect
-from .contraction import MergeStep, PartitionSequence
-from .errors import ParseError
+from .contraction import PartitionSequence, sequence_from_vertex_merges
+from .errors import ParseError, SequenceError
 from .oracles import Coloring
 from .trigraph import Trigraph, VertexRole
 
@@ -22,6 +22,16 @@ def _data_lines(text: str) -> list[str]:
         if line:
             out.append(line)
     return out
+
+
+def _ints(tokens: list[str], count: int, line: str, what: str) -> list[int]:
+    """Exactly `count` integer tokens, or a ParseError quoting the line."""
+    try:
+        if len(tokens) == count:
+            return [int(t) for t in tokens]
+    except ValueError:
+        pass
+    raise ParseError(f"malformed {what}: {line!r}")
 
 
 # --- trigraph text format -------------------------------------------------
@@ -37,21 +47,19 @@ def read_trigraph(text: str) -> Trigraph:
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("tgf"):
         raise ParseError("missing 'tgf' header")
-    try:
-        _, n, n_black, n_red = lines[0].split()
-        n, n_black, n_red = int(n), int(n_black), int(n_red)
-    except ValueError:
-        raise ParseError(f"malformed header: {lines[0]!r}") from None
+    n, n_black, n_red = _ints(lines[0].split()[1:], 3, lines[0], "header")
     black, red = [], []
-    for line in lines[1:]:
+    for line in lines[1:]:  # the hot loop on large graphs: no helper calls
         parts = line.split()
         if len(parts) != 3 or parts[0] not in ("b", "r"):
             raise ParseError(f"malformed edge line: {line!r}")
         try:
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            u, v = int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"malformed edge line: {line!r}") from None
-        (black if parts[0] == "b" else red).append((u, v))
+        if u == v or not (0 < u <= n and 0 < v <= n):
+            raise ParseError(f"edge line {line!r} does not join two vertices of 1..{n}")
+        (black if parts[0] == "b" else red).append((u - 1, v - 1))
     if len(black) != n_black or len(red) != n_red:
         raise ParseError(
             f"header declares {n_black} black / {n_red} red edges, "
@@ -68,27 +76,24 @@ def write_sequence(seq: PartitionSequence) -> str:
 
 
 def read_sequence(text: str) -> PartitionSequence:
+    """Merge lines may name any vertex of each part; steps come back canonical."""
     lines = _data_lines(text)
     if not lines or not lines[0].startswith("seq"):
         raise ParseError("missing 'seq' header")
-    try:
-        _, n, n_steps = lines[0].split()
-        n, n_steps = int(n), int(n_steps)
-    except ValueError:
-        raise ParseError(f"malformed header: {lines[0]!r}") from None
-    steps = []
+    n, n_steps = _ints(lines[0].split()[1:], 2, lines[0], "header")
+    merges = []
     for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "m":
+        tag, *ids = line.split()
+        if tag != "m":
             raise ParseError(f"malformed merge line: {line!r}")
-        try:
-            a, b = int(parts[1]) - 1, int(parts[2]) - 1
-        except ValueError:
-            raise ParseError(f"malformed merge line: {line!r}") from None
-        steps.append(MergeStep(min(a, b), max(a, b)))
-    if len(steps) != n_steps:
-        raise ParseError(f"header declares {n_steps} steps, found {len(steps)}")
-    return PartitionSequence(n, tuple(steps))
+        a, b = _ints(ids, 2, line, "merge line")
+        merges.append((a - 1, b - 1))
+    if len(merges) != n_steps:
+        raise ParseError(f"header declares {n_steps} steps, found {len(merges)}")
+    try:
+        return sequence_from_vertex_merges(n, merges, base=1)
+    except SequenceError as exc:
+        raise ParseError(str(exc)) from None
 
 
 # --- coloring and assignment formats ----------------------------------------
@@ -101,14 +106,16 @@ def write_coloring(col: Coloring) -> str:
 def read_coloring(text: str, k: int | None = None) -> Coloring:
     entries = {}
     for line in _data_lines(text):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"malformed coloring line: {line!r}")
-        entries[int(parts[0]) - 1] = int(parts[1])
+        v, c = _ints(line.split(), 2, line, "coloring line")
+        entries[v - 1] = c
     if sorted(entries) != list(range(len(entries))):
         raise ParseError("coloring vertex ids are not 1..n")
     colors = tuple(entries[v] for v in range(len(entries)))
-    return Coloring(colors, k if k is not None else max(colors, default=0))
+    k = k if k is not None else max(colors, default=0)
+    for v, c in enumerate(colors):
+        if not 1 <= c <= k:
+            raise ParseError(f"vertex {v + 1} has color {c}, outside 1..{k}")
+    return Coloring(colors, k)
 
 
 def write_assignment(assignment: dict[int, bool]) -> str:
@@ -120,9 +127,10 @@ def read_assignment(text: str) -> dict[int, bool]:
     out = {}
     for line in _data_lines(text):
         parts = line.split()
-        if len(parts) != 2 or parts[1] not in ("0", "1"):
+        var, _ = _ints(parts, 2, line, "assignment line")
+        if var < 1 or parts[1] not in ("0", "1"):
             raise ParseError(f"malformed assignment line: {line!r}")
-        out[int(parts[0])] = parts[1] == "1"
+        out[var] = parts[1] == "1"
     return out
 
 
@@ -136,8 +144,11 @@ def write_roles(g: Trigraph) -> str:
 def read_roles(text: str) -> dict[int, VertexRole]:
     out = {}
     for line in _data_lines(text):
-        vid, _, role = line.partition(" ")
-        out[int(vid) - 1] = VertexRole.parse(role)
+        vid, *role = line.split()
+        (v,) = _ints([vid], 1, line, "role line")
+        if v < 1 or not role:
+            raise ParseError(f"malformed role line: {line!r}")
+        out[v - 1] = VertexRole.parse(" ".join(role))
     return out
 
 

@@ -205,22 +205,28 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
     return True, Coloring(tuple(found), k)
 
 
-def chromatic_number(g: Trigraph, budget: int | None = None) -> int:
-    """Exact chromatic number via bounds plus k-colorability searches."""
+def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Coloring]:
+    """Exact chromatic number with a witness coloring that uses exactly that many colors.
+
+    A greedy coloring bounds it from above and a greedy clique from
+    below.  When the bounds meet the greedy coloring is the witness;
+    otherwise k-colorability searches run upward from the lower bound
+    and the first success is the witness.
+    """
     if g.red:
         raise RedEdgeError("chromatic number is defined for plain graphs")
     if g.n == 0:
-        return 0
-    upper = greedy_coloring(g).k
+        return 0, Coloring((), 0)
+    greedy = greedy_coloring(g)
     lower = max(1, len(greedy_clique(g)))
-    for k in range(lower, upper):
+    for k in range(lower, greedy.k):
         try:
-            ok, _ = is_k_colorable(g, k, budget)
+            ok, witness = is_k_colorable(g, k, budget)
         except BudgetExceeded as exc:
-            raise BudgetExceeded(str(exc), lower=k, upper=upper) from None
+            raise BudgetExceeded(str(exc), lower=k, upper=greedy.k) from None
         if ok:
-            return k
-    return upper
+            return k, witness
+    return greedy.k, greedy
 
 
 def _greedy_merge_sequence(g: Trigraph) -> tuple[int, PartitionSequence]:

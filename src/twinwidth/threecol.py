@@ -14,7 +14,8 @@ triangle corner for literal 1, 2 or 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Mapping
 
 from .cnf import (Assignment, CnfFormula, Dialect, literal_value,
                   nae_satisfies)
@@ -55,23 +56,16 @@ class ThreeColInstance:
     graph: Trigraph
     subdivisions: frozenset[tuple[int, int]]
     path_orders: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        path_index = {}
-        subdiv_index = {}
-        for vid, role in self.graph.labels.items():
-            if role.kind == "P":
-                path_index[role.coords] = vid
-            elif role.kind == "S":
-                subdiv_index[role.coords] = vid
-        object.__setattr__(self, "_path_index", path_index)
-        object.__setattr__(self, "_subdiv_index", subdiv_index)
+    # (variable, clause column) -> id of its path / subdivision vertex;
+    # derived from the rest, so left out of equality and hashing
+    path_index: Mapping[tuple[int, int], int] = field(compare=False, repr=False)
+    subdiv_index: Mapping[tuple[int, int], int] = field(compare=False, repr=False)
 
     def path_vertex(self, i: int, j: int) -> int:
-        return self._path_index[(i, j)]
+        return self.path_index[(i, j)]
 
     def subdiv_vertex(self, i: int, j: int) -> int:
-        return self._subdiv_index[(i, j)]
+        return self.subdiv_index[(i, j)]
 
     def triangle(self, j: int, slot: str) -> int:
         base = sum(len(order) for order in self.path_orders)
@@ -96,11 +90,13 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
     next_id = 0
     path_orders: list[tuple[int, ...]] = []
     path_at: dict[tuple[int, int], int] = {}
+    subdiv_at: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):
         order = []
         for j in range(1, m + 1):
             if (i, j) in subdivisions:
                 labels[next_id] = VertexRole("S", (i, j))
+                subdiv_at[(i, j)] = next_id
                 order.append(next_id)
                 next_id += 1
             labels[next_id] = VertexRole("P", (i, j))
@@ -126,7 +122,7 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
 
     graph = Trigraph(hub + 1, edges, (), labels)
     return ThreeColInstance(formula, n, m, graph, frozenset(subdivisions),
-                            tuple(path_orders))
+                            tuple(path_orders), path_at, subdiv_at)
 
 
 def build_3col_4sequence(inst: ThreeColInstance) -> PartitionSequence:

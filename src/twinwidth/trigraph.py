@@ -56,6 +56,8 @@ class Trigraph:
 
     def __init__(self, n: int, black: Iterable[Edge] = (), red: Iterable[Edge] = (),
                  labels: Optional[Mapping[int, VertexRole]] = None):
+        if n < 0:
+            raise RangeError(f"vertex count must be non-negative, got {n}")
         self.n = n
         self.black = _canonical_edges(n, black, "black")
         self.red = _canonical_edges(n, red, "red")

@@ -152,7 +152,7 @@ def test_acceptance_04_mincol_equivalence(sat_corpus_verdicts, mincol_demo):
             colorable, _ = is_k_colorable(inst.graph, inst.color_budget,
                                           budget=COLOR_BUDGET)
             assert colorable == (model is not None), f.clauses
-        assert chromatic_number(mincol_demo.graph, budget=COLOR_BUDGET) == 6
+        assert chromatic_number(mincol_demo.graph, budget=COLOR_BUDGET)[0] == 6
         info["detail"] = f"{len(sat_corpus_verdicts)} formulas, chi(demo)=6, "
 
 

@@ -6,6 +6,7 @@ from twinwidth.formats import read_sequence, read_trigraph
 DEMO_SAT = "c demo\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 DEMO_NAE = ("p cnf 7 8\n1 -2 3 0\n-1 4 5 0\n2 -3 6 0\n1 6 -7 0\n"
             "4 5 7 0\n2 4 -6 0\n-1 -5 7 0\n3 -6 -7 0\n")
+P4 = "tgf 4 3 0\nb 1 2\nb 2 3\nb 3 4\n"
 
 
 @pytest.fixture
@@ -71,6 +72,12 @@ def test_verify_sequence_exit_codes(tmp_path, sat_cnf, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out and "status: FAILED" in out
+    p3 = tmp_path / "p3.tgf"
+    p3.write_text("tgf 3 2 0\nb 1 2\nb 2 3\n")
+    any_member = tmp_path / "p3.seq"
+    any_member.write_text("seq 3 2\nm 1 2\nm 2 3\n")  # 2 is no longer a representative
+    assert main(["verify-sequence", str(p3), str(any_member), "--max-width", "1"]) == 0
+    assert "sequence_ok_at_1: True" in capsys.readouterr().out
 
 
 def test_tww_exact_and_chromatic(tmp_path, capsys):
@@ -137,6 +144,29 @@ def test_usage_errors(tmp_path, capsys):
     nae_bad = tmp_path / "nae_bad.cnf"
     nae_bad.write_text("p cnf 2 1\n1 1 2 0\n")
     assert main(["nae", str(nae_bad)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["roundtrip", "--mincol", str(bad), "--seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+    def one_error(argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    p4 = tmp_path / "p4.tgf"
+    p4.write_text(P4)
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("TWINWIDTH_BUDGET", "abc")
+        one_error(["chromatic", str(p4)])
+    negative = tmp_path / "negative.tgf"
+    negative.write_text("tgf -1 0 0\n")
+    one_error(["chromatic", str(negative)])
+    one_error(["sat", str(tmp_path)])
+    latin1 = tmp_path / "latin1.cnf"
+    latin1.write_bytes("c caf\xe9\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n".encode("latin-1"))
+    one_error(["sat", str(latin1)])
 
 
 def test_budget_env_override(sat_cnf, capsys, monkeypatch):
@@ -158,3 +188,149 @@ def test_report_reproducible_modulo_wall_time(sat_cnf, capsys):
     second = capsys.readouterr().out
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("wall_time")]
     assert strip(first) == strip(second)
+
+
+_VERIFY = """\
+command: verify-sequence g.tgf s.seq
+N: 104
+steps: 103
+width.max: 3
+width.argmax_step: 4
+"""
+_ROUNDTRIP_MINCOL = """\
+command: roundtrip --mincol demo.cnf
+n: 3
+m: 2
+color_budget: 6
+N: 104
+edges: 516
+width.max: 3
+width.argmax_step: 4
+sequence_ok_at_3: True
+satisfiable: True
+"""
+
+GOLDEN = [
+    pytest.param(["reduce", "mincol", "demo.cnf"], 0, """\
+command: reduce mincol demo.cnf
+n: 3
+m: 2
+color_budget: 6
+N: 104
+edges: 516
+width.max: 3
+width.argmax_step: 4
+sequence_ok_at_3: True
+status: ok
+""", id="reduce-mincol"),
+    pytest.param(["reduce", "3col", "nae.cnf"], 0, """\
+command: reduce 3col nae.cnf
+n: 7
+m: 8
+N: 91
+edges: 173
+width.max: 4
+width.argmax_step: 28
+sequence_ok_at_4: True
+status: ok
+""", id="reduce-3col"),
+    pytest.param(["reduce", "3col", "nae.cnf", "--k", "5"], 0, """\
+command: reduce 3col nae.cnf
+n: 7
+m: 8
+k: 5
+N: 93
+edges: 356
+width.max: 4
+width.argmax_step: 29
+sequence_ok_at_4: True
+status: ok
+""", id="reduce-3col-k5"),
+    pytest.param(["verify-sequence", "g.tgf", "s.seq", "--max-width", "3"], 0, _VERIFY + """\
+sequence_ok_at_3: True
+status: ok
+""", id="verify-pass"),
+    pytest.param(["verify-sequence", "g.tgf", "s.seq", "--max-width", "2"], 1, _VERIFY + """\
+sequence_ok_at_2: False
+FAIL: width 3 exceeds bound 2
+status: FAILED
+""", id="verify-fail"),
+    pytest.param(["tww-exact", "p4.tgf"], 0, """\
+command: tww-exact p4.tgf
+N: 4
+twin_width: 1
+status: ok
+""", id="tww-exact"),
+    pytest.param(["chromatic", "p4.tgf"], 0, """\
+command: chromatic p4.tgf
+N: 4
+chromatic_number: 2
+status: ok
+""", id="chromatic"),
+    # greedy coloring and clique bound meet at 2, so no search spends the budget
+    pytest.param(["chromatic", "p4.tgf", "--budget", "0"], 0, """\
+command: chromatic p4.tgf
+N: 4
+chromatic_number: 2
+status: ok
+""", id="chromatic-budget-0"),
+    pytest.param(["sat", "demo.cnf"], 0, """\
+command: sat demo.cnf
+n: 3
+m: 2
+satisfiable: True
+assignment: -1 -2 -3
+status: ok
+""", id="sat"),
+    pytest.param(["nae", "nae.cnf"], 0, """\
+command: nae nae.cnf
+n: 7
+m: 8
+satisfiable: True
+assignment: -1 -2 -3 -4 5 -6 -7
+status: ok
+""", id="nae"),
+    pytest.param(["roundtrip", "--mincol", "demo.cnf"], 0, _ROUNDTRIP_MINCOL + """\
+colorable_6: True
+oracle_witness_roundtrip: ok
+forward_backward_roundtrip: ok
+chromatic_number: 6
+status: ok
+""", id="roundtrip-mincol"),
+    pytest.param(["roundtrip", "--3col", "nae.cnf"], 0, """\
+command: roundtrip --3col nae.cnf
+n: 7
+m: 8
+N: 91
+edges: 173
+width.max: 4
+width.argmax_step: 28
+sequence_ok_at_4: True
+satisfiable: True
+colorable_3: True
+oracle_witness_roundtrip: ok
+forward_backward_roundtrip: ok
+status: ok
+""", id="roundtrip-3col"),
+    pytest.param(["roundtrip", "--mincol", "demo.cnf", "--budget", "10"], 0, _ROUNDTRIP_MINCOL + """\
+SKIP: 6-colorability oracle over budget
+forward_backward_roundtrip: ok
+SKIP: chromatic number oracle over budget
+status: ok
+""", id="roundtrip-mincol-budget"),
+]
+
+
+@pytest.mark.parametrize("argv, code, expected", GOLDEN)
+def test_golden_report(tmp_path, monkeypatch, capsys, argv, code, expected):
+    """Full stdout of each command on the demo inputs, minus wall_time lines."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo.cnf").write_text(DEMO_SAT)
+    (tmp_path / "nae.cnf").write_text(DEMO_NAE)
+    (tmp_path / "p4.tgf").write_text(P4)
+    assert main(["reduce", "mincol", "demo.cnf", "--graph", "g.tgf", "--sequence", "s.seq"]) == 0
+    capsys.readouterr()
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert "".join(line + "\n" for line in out.splitlines()
+                   if not line.startswith("wall_time")) == expected

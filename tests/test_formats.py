@@ -41,6 +41,10 @@ def test_trigraph_comments_and_errors():
         read_trigraph("tgf 2 2 0\nb 1 2\n")
     with pytest.raises(ParseError):
         read_trigraph("tgf 2 1 0\nq 1 2\n")
+    with pytest.raises(ParseError, match="'b 1 3'"):
+        read_trigraph("tgf 2 1 0\nb 1 3\n")
+    with pytest.raises(ParseError):
+        read_trigraph("tgf 2 1 0\nb 2 2\n")
 
 
 def test_sequence_round_trip():
@@ -52,6 +56,17 @@ def test_sequence_round_trip():
     assert write_sequence(back) == text
     with pytest.raises(ParseError):
         read_sequence("seq 3 2\nm 1 2\n")
+    with pytest.raises(ParseError, match=r"merge \(4,1\)"):
+        read_sequence("seq 3 1\nm 4 1\n")
+    with pytest.raises(ParseError, match=r"merge \(2,1\) names two vertices already"):
+        read_sequence("seq 3 2\nm 1 2\nm 2 1\n")
+    with pytest.raises(ParseError):
+        read_sequence("seq 3 1\nm 1 x\n")
+    # merge lines may name any vertex of each part
+    assert read_sequence("seq 3 2\nm 1 2\nm 2 3\n") == \
+        sequence_from_vertex_merges(3, [(0, 1), (0, 2)])
+    assert write_sequence(read_sequence("seq 4 3\nm 4 3\nm 2 4\nm 3 1\n")) == \
+        "seq 4 3\nm 3 4\nm 2 3\nm 1 2\n"
 
 
 def test_coloring_round_trip():
@@ -61,6 +76,12 @@ def test_coloring_round_trip():
     assert read_coloring(text, k=3) == col
     with pytest.raises(ParseError):
         read_coloring("1 2\n3 1\n")
+    with pytest.raises(ParseError):
+        read_coloring("1 x\n")
+    with pytest.raises(ParseError, match="vertex 1 has color 0"):
+        read_coloring("1 0\n")
+    with pytest.raises(ParseError, match="vertex 2 has color 4, outside 1..3"):
+        read_coloring("1 1\n2 4\n", k=3)
 
 
 def test_assignment_round_trip():
@@ -70,6 +91,10 @@ def test_assignment_round_trip():
     assert read_assignment(text) == a
     with pytest.raises(ParseError):
         read_assignment("1 2\n")
+    with pytest.raises(ParseError):
+        read_assignment("x 1\n")
+    with pytest.raises(ParseError):
+        read_assignment("0 1\n")
 
 
 def test_roles_round_trip():
@@ -78,6 +103,9 @@ def test_roles_round_trip():
     text = write_roles(g)
     assert "1 A 2 5" in text and "2 Z" in text and "3 T 1 u" in text
     assert read_roles(text) == g.labels
+    for bad in ("x A 1 1\n", "0 Z\n", "3\n"):
+        with pytest.raises(ParseError):
+            read_roles(bad)
 
 
 def test_parse_dimacs_demo():

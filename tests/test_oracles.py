@@ -27,10 +27,10 @@ def test_is_proper():
 
 
 def test_chromatic_examples():
-    assert chromatic_number(C5) == 3
-    assert chromatic_number(make_trigraph(5)) == 1
-    assert chromatic_number(K4) == 4
-    assert chromatic_number(make_trigraph(0)) == 0
+    assert chromatic_number(C5)[0] == 3
+    assert chromatic_number(make_trigraph(5))[0] == 1
+    assert chromatic_number(K4)[0] == 4
+    assert chromatic_number(make_trigraph(0))[0] == 0
 
 
 def test_k_colorable_examples():
@@ -51,7 +51,7 @@ def test_k_colorable_is_deterministic():
 
 def test_chromatic_cross_check_small():
     for g in all_graphs(4):
-        chi = chromatic_number(g)
+        chi, _ = chromatic_number(g)
         assert chi == brute_chromatic(g)
         assert is_k_colorable(g, chi)[0]
         assert chi == 1 or not is_k_colorable(g, chi - 1)[0]
@@ -60,10 +60,23 @@ def test_chromatic_cross_check_small():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(120):
             g = make_trigraph(n, [e for e in pairs if rng.random() < 0.45])
-            chi = chromatic_number(g)
+            chi, _ = chromatic_number(g)
             assert chi == brute_chromatic(g)
             ok, witness = is_k_colorable(g, chi)
             assert ok and is_proper(g, witness)
+
+
+def test_chromatic_witness_uses_exactly_chi_colors():
+    rng = random.Random(22)
+    graphs = list(all_graphs(4)) + [P4, C5, K4, make_trigraph(0)]
+    pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
+    graphs += [make_trigraph(7, [e for e in pairs if rng.random() < 0.5]) for _ in range(40)]
+    for g in graphs:
+        chi, witness = chromatic_number(g)
+        assert is_proper(g, witness)
+        assert witness.k == chi and set(witness.colors) == set(range(1, chi + 1))
+    # greedy meets the clique bound on P4, so no search runs and no budget is spent
+    assert chromatic_number(P4, budget=0) == (2, Coloring((2, 1, 2, 1), 2))
 
 
 def test_colorability_budget():

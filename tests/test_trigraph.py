@@ -31,6 +31,8 @@ def test_make_trigraph_range_and_loops():
         make_trigraph(2, [(0, 2)])
     with pytest.raises(LoopError):
         make_trigraph(2, [], [(1, 1)])
+    with pytest.raises(RangeError):
+        make_trigraph(-1)
 
 
 def test_make_trigraph_single_vertex_and_duplicates():
