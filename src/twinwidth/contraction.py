@@ -93,7 +93,6 @@ class ContractionState:
 
     def __init__(self, g: Trigraph):
         n = g.n
-        self.n = n
         self.size = [1] * n
         self.live: set[int] = set(range(n))
         # cross[p][q] -> [black, red] cross-pair counts; the same list
@@ -148,6 +147,16 @@ class ContractionState:
         cross[b] = dict()
         red_adj[b] = set()
         return a
+
+    def merged(self, a: int, b: int) -> "ContractionState":
+        """A copy with parts a and b merged; shares the count lists, which merge never mutates."""
+        new = object.__new__(ContractionState)
+        new.size = self.size.copy()
+        new.live = self.live.copy()
+        new.cross = [c.copy() for c in self.cross]
+        new.red_adj = [s.copy() for s in self.red_adj]
+        new.merge(a, b)
+        return new
 
     def red_degree(self, p: int) -> int:
         return len(self.red_adj[p])

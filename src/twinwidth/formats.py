@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cnf import Clause, CnfFormula, Dialect
 from .contraction import PartitionSequence, sequence_from_vertex_merges
-from .errors import ParseError, SequenceError
+from .errors import OverlapError, ParseError, SequenceError
 from .oracles import Coloring
 from .trigraph import Trigraph, VertexRole
 
@@ -64,7 +64,11 @@ def read_trigraph(text: str) -> Trigraph:
         raise ParseError(
             f"header declares {n_black} black / {n_red} red edges, "
             f"found {len(black)} / {len(red)}")
-    return Trigraph(n, black, red)
+    try:
+        return Trigraph(n, black, red)
+    except OverlapError:
+        u, v = min({(min(e), max(e)) for e in black} & {(min(e), max(e)) for e in red})
+        raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None
 
 
 # --- contraction sequence format -------------------------------------------
@@ -107,6 +111,8 @@ def read_coloring(text: str, k: int | None = None) -> Coloring:
     entries = {}
     for line in _data_lines(text):
         v, c = _ints(line.split(), 2, line, "coloring line")
+        if v - 1 in entries:
+            raise ParseError(f"vertex {v} is colored twice")
         entries[v - 1] = c
     if sorted(entries) != list(range(len(entries))):
         raise ParseError("coloring vertex ids are not 1..n")
@@ -130,6 +136,8 @@ def read_assignment(text: str) -> dict[int, bool]:
         var, _ = _ints(parts, 2, line, "assignment line")
         if var < 1 or parts[1] not in ("0", "1"):
             raise ParseError(f"malformed assignment line: {line!r}")
+        if var in out:
+            raise ParseError(f"variable {var} is assigned twice")
         out[var] = parts[1] == "1"
     return out
 
@@ -148,6 +156,8 @@ def read_roles(text: str) -> dict[int, VertexRole]:
         (v,) = _ints([vid], 1, line, "role line")
         if v < 1 or not role:
             raise ParseError(f"malformed role line: {line!r}")
+        if v - 1 in out:
+            raise ParseError(f"vertex {v} has two role lines")
         out[v - 1] = VertexRole.parse(" ".join(role))
     return out
 

@@ -11,12 +11,13 @@ Budgets count node expansions, never wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cnf import Assignment, CnfFormula, Dialect
-from .contraction import PartitionSequence, sequence_from_vertex_merges
+from .contraction import ContractionState, PartitionSequence, sequence_from_vertex_merges
 from .errors import (BudgetExceeded, DialectError, RedEdgeError,
                      UncoloredError)
-from .trigraph import Partition, Trigraph, max_red_degree, quotient
+from .trigraph import Trigraph
 
 
 @dataclass(frozen=True)
@@ -230,29 +231,17 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
 
 
 def _greedy_merge_sequence(g: Trigraph) -> tuple[int, PartitionSequence]:
-    """Merge the pair minimizing the next quotient's width; an upper bound."""
-    n = g.n
-    parts: list[frozenset[int]] = [frozenset([v]) for v in range(n)]
+    """Merge the first pair minimizing the next quotient's width; an upper bound."""
+    state = ContractionState(g)
+    width = state.max_red_degree()
     merges = []
-    width = max_red_degree(g)
-    while len(parts) > 1:
-        best = None
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                trial = [p for t, p in enumerate(parts) if t not in (i, j)]
-                trial.append(parts[i] | parts[j])
-                w = max_red_degree(quotient(g, Partition(n, trial)))
-                key = (w, min(parts[i]), min(parts[j]))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        (w, _, _), i, j = best
-        merges.append((min(parts[i]), min(parts[j])))
-        merged = parts[i] | parts[j]
-        parts = [p for t, p in enumerate(parts) if t not in (i, j)]
-        parts.append(merged)
-        parts.sort(key=min)
-        width = max(width, w)
-    return width, sequence_from_vertex_merges(n, merges)
+    while len(state.live) > 1:
+        a, b = min(combinations(sorted(state.live), 2),
+                   key=lambda pair: state.merged(*pair).max_red_degree())
+        state.merge(a, b)
+        merges.append((a, b))
+        width = max(width, state.max_red_degree())
+    return width, sequence_from_vertex_merges(g.n, merges)
 
 
 def exact_twinwidth(g: Trigraph, budget: int | None = None
@@ -260,46 +249,39 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
     """Exact twin-width with an optimal witness sequence.
 
     Iterative deepening on the width bound; each level runs a DFS over
-    partitions, memoizing failed states on canonical part encodings.
-    Intended for n <= 10.
+    contraction states, memoizing failed partitions by each vertex's
+    part representative.  Intended for n <= 10.
     """
     n = g.n
     if n <= 1:
         return 0, PartitionSequence(n, ())
     upper, upper_seq = _greedy_merge_sequence(g)
-    lower = max_red_degree(g)
+    root = ContractionState(g)
+    lower = root.max_red_degree()
     expansions = [0]
 
-    def search(d: int) -> list[tuple[int, int]] | None:
-        failed: set[tuple] = set()
-
-        def dfs(parts: tuple[frozenset[int], ...]) -> list[tuple[int, int]] | None:
-            if len(parts) == 1:
-                return []
-            key = tuple(sorted(tuple(sorted(p)) for p in parts))
-            if key in failed:
-                return None
-            expansions[0] += 1
-            if budget is not None and expansions[0] > budget:
-                raise BudgetExceeded(
-                    f"twin-width search exceeded {budget} expansions",
-                    lower=d, upper=upper)
-            for i in range(len(parts)):
-                for j in range(i + 1, len(parts)):
-                    trial = [p for t, p in enumerate(parts) if t not in (i, j)]
-                    trial.append(parts[i] | parts[j])
-                    trial.sort(key=min)
-                    if max_red_degree(quotient(g, Partition(n, trial))) <= d:
-                        rest = dfs(tuple(trial))
-                        if rest is not None:
-                            return [(min(parts[i]), min(parts[j]))] + rest
-            failed.add(key)
+    def dfs(state: ContractionState, rep: tuple[int, ...], d: int,
+            failed: set[tuple[int, ...]]) -> list[tuple[int, int]] | None:
+        if len(state.live) == 1:
+            return []
+        if rep in failed:
             return None
-
-        return dfs(tuple(frozenset([v]) for v in range(n)))
+        expansions[0] += 1
+        if budget is not None and expansions[0] > budget:
+            raise BudgetExceeded(
+                f"twin-width search exceeded {budget} expansions",
+                lower=d, upper=upper)
+        for a, b in combinations(sorted(state.live), 2):
+            trial = state.merged(a, b)
+            if trial.max_red_degree() <= d:
+                rest = dfs(trial, tuple(a if r == b else r for r in rep), d, failed)
+                if rest is not None:
+                    return [(a, b)] + rest
+        failed.add(rep)
+        return None
 
     for d in range(lower, upper):
-        merges = search(d)
+        merges = dfs(root, tuple(range(n)), d, set())
         if merges is not None:
             return d, sequence_from_vertex_merges(n, merges)
     return upper, upper_seq

@@ -15,7 +15,6 @@ class RunReport:
     command: str
     entries: list[tuple[str, str]] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
-    skips: list[str] = field(default_factory=list)
 
     def add(self, key: str, value) -> None:
         self.entries.append((key, str(value)))
@@ -25,7 +24,6 @@ class RunReport:
         self.add("FAIL", invariant)
 
     def skip(self, what: str) -> None:
-        self.skips.append(what)
         self.add("SKIP", what)
 
     @property

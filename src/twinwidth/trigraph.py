@@ -82,9 +82,6 @@ class Trigraph:
             adj[v].add(u)
         return tuple(frozenset(s) for s in adj)
 
-    def degree(self, v: int) -> int:
-        return len(self.black_adj[v]) + len(self.red_adj[v])
-
     def __repr__(self) -> str:
         return f"Trigraph(n={self.n}, black={len(self.black)}, red={len(self.red)})"
 
@@ -114,7 +111,6 @@ class Partition:
         if any(idx == -1 for idx in part_of):
             missing = [v for v, idx in enumerate(part_of) if idx == -1]
             raise PartitionError(f"vertices not covered: {missing}")
-        self.part_of: tuple[int, ...] = tuple(part_of)
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":

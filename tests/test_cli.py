@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import pytest
 
+import twinwidth.cli
+import twinwidth.oracles
 from twinwidth.cli import main
 from twinwidth.formats import read_sequence, read_trigraph
 
@@ -7,6 +11,8 @@ DEMO_SAT = "c demo\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 DEMO_NAE = ("p cnf 7 8\n1 -2 3 0\n-1 4 5 0\n2 -3 6 0\n1 6 -7 0\n"
             "4 5 7 0\n2 4 -6 0\n-1 -5 7 0\n3 -6 -7 0\n")
 P4 = "tgf 4 3 0\nb 1 2\nb 2 3\nb 3 4\n"
+UNSAT = "p cnf 2 4\n1 1 2 0\n1 1 -2 0\n-1 -1 2 0\n-1 -1 -2 0\n"
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture
@@ -112,6 +118,23 @@ def test_roundtrip_mincol(sat_cnf, capsys):
     assert "chromatic_number: 6" in out
     assert "forward_backward_roundtrip: ok" in out
     assert "status: ok" in out
+
+
+def test_roundtrip_mincol_searches_once(monkeypatch, capsys):
+    """The 2n-colorability search inside chromatic_number also answers colorable_<k>."""
+    calls = []
+    search = twinwidth.oracles.is_k_colorable
+
+    def recording(g, k, budget=None):
+        calls.append(k)
+        return search(g, k, budget)
+
+    monkeypatch.setattr(twinwidth.oracles, "is_k_colorable", recording)
+    monkeypatch.setattr(twinwidth.cli, "is_k_colorable", recording)
+    assert main(["roundtrip", "--mincol", str(DATA / "demo3sat.cnf")]) == 0
+    out = capsys.readouterr().out
+    assert "colorable_6: True" in out and "chromatic_number: 6" in out
+    assert calls == [6]
 
 
 def test_roundtrip_3col(nae_cnf, capsys):
@@ -318,6 +341,20 @@ forward_backward_roundtrip: ok
 SKIP: chromatic number oracle over budget
 status: ok
 """, id="roundtrip-mincol-budget"),
+    pytest.param(["roundtrip", "--mincol", "unsat.cnf"], 0, """\
+command: roundtrip --mincol unsat.cnf
+n: 2
+m: 4
+color_budget: 4
+N: 72
+edges: 216
+width.max: 3
+width.argmax_step: 4
+sequence_ok_at_3: True
+satisfiable: False
+colorable_4: False
+status: ok
+""", id="roundtrip-mincol-unsat"),
 ]
 
 
@@ -328,6 +365,7 @@ def test_golden_report(tmp_path, monkeypatch, capsys, argv, code, expected):
     (tmp_path / "demo.cnf").write_text(DEMO_SAT)
     (tmp_path / "nae.cnf").write_text(DEMO_NAE)
     (tmp_path / "p4.tgf").write_text(P4)
+    (tmp_path / "unsat.cnf").write_text(UNSAT)
     assert main(["reduce", "mincol", "demo.cnf", "--graph", "g.tgf", "--sequence", "s.seq"]) == 0
     capsys.readouterr()
     assert main(argv) == code

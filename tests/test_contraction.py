@@ -108,7 +108,12 @@ def test_incremental_matches_definition_on_random_graphs():
         parts = {v: frozenset([v]) for v in range(n)}
         for a, b in _random_full_merges(n, rng):
             a, b = min(a, b), max(a, b)
+            colors, width = state.pair_colors(), state.max_red_degree()
+            child = state.merged(a, b)
+            assert (state.pair_colors(), state.max_red_degree()) == (colors, width)
             state.merge(a, b)
+            assert child.pair_colors() == state.pair_colors()
+            assert child.max_red_degree() == state.max_red_degree()
             parts[a] = parts[a] | parts.pop(b)
             ordered = sorted(parts)
             by_def = quotient_by_definition(g, [parts[r] for r in ordered])

@@ -45,6 +45,8 @@ def test_trigraph_comments_and_errors():
         read_trigraph("tgf 2 1 0\nb 1 3\n")
     with pytest.raises(ParseError):
         read_trigraph("tgf 2 1 0\nb 2 2\n")
+    with pytest.raises(ParseError, match="pair 1 2 is both a black and a red edge"):
+        read_trigraph("tgf 2 1 1\nb 1 2\nr 2 1\n")
 
 
 def test_sequence_round_trip():
@@ -82,6 +84,8 @@ def test_coloring_round_trip():
         read_coloring("1 0\n")
     with pytest.raises(ParseError, match="vertex 2 has color 4, outside 1..3"):
         read_coloring("1 1\n2 4\n", k=3)
+    with pytest.raises(ParseError, match="vertex 1 is colored twice"):
+        read_coloring("1 1\n1 2\n2 1\n")
 
 
 def test_assignment_round_trip():
@@ -95,6 +99,8 @@ def test_assignment_round_trip():
         read_assignment("x 1\n")
     with pytest.raises(ParseError):
         read_assignment("0 1\n")
+    with pytest.raises(ParseError, match="variable 1 is assigned twice"):
+        read_assignment("1 1\n1 0\n")
 
 
 def test_roles_round_trip():
@@ -106,6 +112,8 @@ def test_roles_round_trip():
     for bad in ("x A 1 1\n", "0 Z\n", "3\n"):
         with pytest.raises(ParseError):
             read_roles(bad)
+    with pytest.raises(ParseError, match="vertex 1 has two role lines"):
+        read_roles("1 A 1 1\n1 B 2 2\n")
 
 
 def test_parse_dimacs_demo():

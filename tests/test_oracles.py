@@ -122,6 +122,11 @@ def test_exact_twinwidth_budget():
     with pytest.raises(BudgetExceeded) as exc:
         exact_twinwidth(g, budget=1)
     assert exc.value.upper is not None
+    # C7: the width-0 level fails in one expansion, width 1 needs a second
+    assert (exc.value.lower, exc.value.upper) == (1, 2)
+    width, seq = exact_twinwidth(g, budget=2)
+    assert width == 2
+    assert [(s.a, s.b) for s in seq.steps] == [(0, 1), (0, 2), (0, 3), (4, 6), (0, 4), (0, 5)]
 
 
 def test_exact_twinwidth_cographs():
