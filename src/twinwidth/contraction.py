@@ -1,16 +1,17 @@
 """Partition sequences as merge scripts, with incremental width tracking.
 
 A part is identified by its representative: the smallest vertex id it
-contains.  A full sequence on n vertices has exactly n-1 steps and ends
-with a single part; anything shorter is a partial sequence.
+contains.  A full sequence on n vertices has exactly max(n-1, 0) steps
+and ends with at most one part; anything shorter is a partial sequence.
 
-The incremental state keeps, for every pair of live parts, a census of
-their cross pairs (how many are black edges, how many red) in the base
-trigraph.  A part pair is black iff the black count equals the number of
-cross pairs and no pair is red; it is red iff some pair is red or the
-black count is strictly between zero and the total.  This reproduces the
-from-scratch quotient exactly, merge by merge, touching only pairs
-incident to the merged part.
+The incremental state keeps, for every live part, the parts it is black
+to and the parts it is red to.  A part pair is black iff every cross
+pair is a black edge, so when a and b merge, the color of the merged
+part to a third part q follows from the colors of a-q and b-q alone:
+black iff both were black, red iff either was red or q is adjacent to
+only one of a and b, absent iff q is adjacent to neither.  This
+reproduces the from-scratch quotient exactly, merge by merge, touching
+only pairs incident to the merged parts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class PartitionSequence:
 
     @property
     def is_full(self) -> bool:
-        return len(self.steps) == self.n - 1
+        return len(self.steps) == max(self.n - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -83,32 +84,32 @@ def sequence_from_vertex_merges(n: int, merges: Iterable[tuple[int, int]],
         lo, hi = (ru, rv) if ru < rv else (rv, ru)
         parent[hi] = lo
         steps.append(MergeStep(lo, hi))
-    if len(steps) > n - 1:
+    if len(steps) > max(n - 1, 0):
         raise SequenceError(f"{len(steps)} steps cannot fit an {n}-vertex sequence")
     return PartitionSequence(n, tuple(steps))
 
 
 class ContractionState:
-    """Incremental quotient of a fixed base trigraph under merges."""
+    """Incremental quotient of a fixed base trigraph under merges.
+
+    red_count[d] is the number of live parts of red degree d and top is
+    at least the largest such d, so a replay costs its merges' own work
+    and not a scan of the live parts per step.
+    """
 
     def __init__(self, g: Trigraph):
         n = g.n
-        self.size = [1] * n
         self.live: set[int] = set(range(n))
-        # cross[p][q] -> [black, red] cross-pair counts; the same list
-        # object is shared under both keys.
-        self.cross: list[dict[int, list[int]]] = [dict() for _ in range(n)]
+        self.black_adj: list[set[int]] = [set() for _ in range(n)]
         self.red_adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in g.black:
-            cnt = [1, 0]
-            self.cross[u][v] = cnt
-            self.cross[v][u] = cnt
-        for u, v in g.red:
-            cnt = [0, 1]
-            self.cross[u][v] = cnt
-            self.cross[v][u] = cnt
-            self.red_adj[u].add(v)
-            self.red_adj[v].add(u)
+        for adj, edges in ((self.black_adj, g.black), (self.red_adj, g.red)):
+            for u, v in edges:
+                adj[u].add(v)
+                adj[v].add(u)
+        self.red_count = [0] * (n + 1)
+        for reds in self.red_adj:
+            self.red_count[len(reds)] += 1
+        self.top = max(map(len, self.red_adj), default=0)
 
     def merge(self, a: int, b: int) -> int:
         """Merge the live parts with representatives a and b; returns min(a, b)."""
@@ -119,42 +120,56 @@ class ContractionState:
         if b < a:
             a, b = b, a
         self.live.discard(b)
-        cross, red_adj, size = self.cross, self.red_adj, self.size
-        cross[a].pop(b, None)
-        cross[b].pop(a, None)
-        red_adj[a].discard(b)
-        red_adj[b].discard(a)
-        new_size = size[a] + size[b]
-        others = set(cross[a]) | set(cross[b])
-        for q in others:
-            ca = cross[a].get(q)
-            cb = cross[b].get(q)
-            blacks = (ca[0] if ca else 0) + (cb[0] if cb else 0)
-            reds = (ca[1] if ca else 0) + (cb[1] if cb else 0)
-            cnt = [blacks, reds]
-            cross[a][q] = cnt
-            cross[q][a] = cnt
-            cross[q].pop(b, None)
-            red_adj[q].discard(b)
-            if reds > 0 or 0 < blacks < new_size * size[q]:
-                red_adj[a].add(q)
-                red_adj[q].add(a)
-            else:
-                red_adj[a].discard(q)
-                red_adj[q].discard(a)
-        size[a] = new_size
-        size[b] = 0
-        cross[b] = dict()
-        red_adj[b] = set()
+        black, red, count = self.black_adj, self.red_adj, self.red_count
+        black_a, red_a, black_b, red_b = black[a], red[a], black[b], red[b]
+        count[len(red_a)] -= 1
+        count[len(red_b)] -= 1
+        black_a.discard(b)
+        red_a.discard(b)
+        black_b.discard(a)
+        red_b.discard(a)
+        top = self.top
+        # Red to b: red to the merged part, whatever it was to a.
+        for q in red_b:
+            red_q = red[q]
+            d = len(red_q)
+            red_q.discard(b)
+            red_q.add(a)
+            red_a.add(q)
+            black_a.discard(q)
+            black[q].discard(a)
+            if len(red_q) != d:
+                count[d] -= 1
+                count[len(red_q)] += 1
+                top = max(top, len(red_q))
+        # Black to b: stays black if black to a, stays red if red to a.
+        for q in black_b:
+            black[q].discard(b)
+        # Black to one of a and b and not adjacent to the other: the
+        # merged part sees a mixed cross, so the pair turns red.
+        for q in (black_a ^ black_b) - red_a:
+            black_a.discard(q)
+            black[q].discard(a)
+            d = len(red[q])
+            red[q].add(a)
+            red_a.add(q)
+            count[d] -= 1
+            count[d + 1] += 1
+            top = max(top, d + 1)
+        count[len(red_a)] += 1
+        self.top = max(top, len(red_a))
+        black[b] = set()
+        red[b] = set()
         return a
 
     def merged(self, a: int, b: int) -> "ContractionState":
-        """A copy with parts a and b merged; shares the count lists, which merge never mutates."""
+        """A copy with parts a and b merged; the receiver is left unchanged."""
         new = object.__new__(ContractionState)
-        new.size = self.size.copy()
         new.live = self.live.copy()
-        new.cross = [c.copy() for c in self.cross]
+        new.black_adj = [s.copy() for s in self.black_adj]
         new.red_adj = [s.copy() for s in self.red_adj]
+        new.red_count = self.red_count.copy()
+        new.top = self.top
         new.merge(a, b)
         return new
 
@@ -162,19 +177,18 @@ class ContractionState:
         return len(self.red_adj[p])
 
     def max_red_degree(self) -> int:
-        return max((len(self.red_adj[p]) for p in self.live), default=0)
+        count, top = self.red_count, self.top
+        while top and not count[top]:
+            top -= 1
+        self.top = top
+        return top
 
     def pair_colors(self) -> dict[tuple[int, int], str]:
         """Current quotient edges keyed by representative pair, as 'black'/'red'."""
         out = {}
         for p in self.live:
-            sp = self.size[p]
-            for q, (blacks, reds) in self.cross[p].items():
-                if p < q:
-                    if reds > 0 or 0 < blacks < sp * self.size[q]:
-                        out[(p, q)] = "red"
-                    elif blacks == sp * self.size[q]:
-                        out[(p, q)] = "black"
+            out.update(((p, q), "black") for q in self.black_adj[p] if p < q)
+            out.update(((p, q), "red") for q in self.red_adj[p] if p < q)
         return out
 
 
@@ -194,7 +208,8 @@ def replay(g: Trigraph, seq: PartitionSequence) -> WidthProfile:
 
 def verify_d_sequence(g: Trigraph, seq: PartitionSequence, d: int) -> tuple[bool, WidthProfile]:
     """True iff seq is a full sequence of width at most d; profile always returned."""
-    if not seq.is_full:
+    # A sequence for another n is left to replay's size error, which is the real fault.
+    if seq.n == g.n and not seq.is_full:
         raise PartialSequenceError(
             f"need a full sequence ({g.n - 1} steps), got {len(seq.steps)}")
     profile = replay(g, seq)

@@ -84,6 +84,20 @@ def test_verify_sequence_exit_codes(tmp_path, sat_cnf, capsys):
     any_member.write_text("seq 3 2\nm 1 2\nm 2 3\n")  # 2 is no longer a representative
     assert main(["verify-sequence", str(p3), str(any_member), "--max-width", "1"]) == 0
     assert "sequence_ok_at_1: True" in capsys.readouterr().out
+    p5 = tmp_path / "p5.tgf"
+    p5.write_text("tgf 5 4 0\nb 1 2\nb 2 3\nb 3 4\nb 4 5\n")
+    for name, text in (("full3.seq", "seq 3 2\nm 1 2\nm 1 3\n"), ("partial3.seq", "seq 3 1\nm 1 2\n")):
+        other = tmp_path / name
+        other.write_text(text)  # the size mismatch is the fault, not the length
+        assert main(["verify-sequence", str(p5), str(other), "--max-width", "4"]) == 2
+        assert capsys.readouterr().err == "error: sequence is for n=3, trigraph has n=5\n"
+    empty = tmp_path / "empty.tgf"
+    empty.write_text("tgf 0 0 0\n")
+    empty_seq = tmp_path / "empty.seq"
+    empty_seq.write_text("seq 0 0\n")  # 0 steps are a full sequence on 0 vertices
+    assert main(["verify-sequence", str(empty), str(empty_seq), "--max-width", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "width.max: 0" in out and "sequence_ok_at_0: True" in out
 
 
 def test_tww_exact_and_chromatic(tmp_path, capsys):
@@ -96,6 +110,14 @@ def test_tww_exact_and_chromatic(tmp_path, capsys):
     assert len(read_sequence(witness.read_text()).steps) == 3
     assert main(["chromatic", str(graph)]) == 0
     assert "chromatic_number: 2" in capsys.readouterr().out
+    empty = tmp_path / "empty.tgf"
+    empty.write_text("tgf 0 0 0\n")
+    assert main(["tww-exact", str(empty), "--witness", str(witness)]) == 0
+    out = capsys.readouterr().out
+    assert "twin_width: 0" in out and "status: ok" in out
+    assert read_sequence(witness.read_text()).steps == ()
+    assert main(["chromatic", str(empty)]) == 0
+    assert "chromatic_number: 0" in capsys.readouterr().out
 
 
 def test_sat_and_nae_commands(tmp_path, sat_cnf, nae_cnf, capsys):

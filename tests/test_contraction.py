@@ -6,6 +6,7 @@ from reference import all_graphs, quotient_by_definition
 from twinwidth import (ContractionState, MergeStep, PartitionSequence,
                        make_trigraph, redify, replay,
                        sequence_from_vertex_merges, verify_d_sequence)
+from twinwidth import Partition, WidthProfile, max_red_degree, quotient
 from twinwidth.errors import PartialSequenceError, SequenceError
 
 
@@ -29,6 +30,9 @@ def test_empty_script_is_partial():
     profile = replay(g, seq)
     assert profile.per_step_width == ()
     assert profile.overall_width == 1  # the base trigraph's own width counts
+    empty = sequence_from_vertex_merges(0, [])  # no vertices: 0 steps are full
+    assert empty.is_full
+    assert verify_d_sequence(make_trigraph(0), empty, 0) == (True, WidthProfile(0, (), 0))
 
 
 def test_replay_twins():
@@ -59,6 +63,8 @@ def test_verify_requires_full_sequence():
     g = make_trigraph(3, [(0, 1)])
     with pytest.raises(PartialSequenceError):
         verify_d_sequence(g, sequence_from_vertex_merges(3, [(0, 1)]), 1)
+    with pytest.raises(SequenceError, match="sequence is for n=2, trigraph has n=3"):
+        verify_d_sequence(g, sequence_from_vertex_merges(2, []), 1)  # short and for another n
 
 
 def test_k4_is_a_zero_sequence_in_any_twin_order():
@@ -137,3 +143,59 @@ def test_overall_width_includes_initial_trigraph():
     assert profile.initial_width == 3
     assert profile.overall_width >= 3
     assert profile.argmax_step == 0
+
+
+def _scanned_width(state):
+    """The maximum red degree by a scan of every live part."""
+    return max((len(state.red_adj[p]) for p in state.live), default=0)
+
+
+def test_red_degree_histogram_matches_scan_and_quotient():
+    """The histogram's maximum follows a from-scratch scan as it rises and falls."""
+    rng = random.Random(2025)
+    rises = falls = 0
+    for _ in range(25):
+        n = rng.randint(2, 40)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        black = [e for e in pairs if rng.random() < 0.3]
+        red = [e for e in pairs if e not in black and rng.random() < 0.08]
+        g = make_trigraph(n, black, red)
+        state = ContractionState(g)
+        parts = {v: {v} for v in range(n)}
+        width = state.max_red_degree()
+        assert width == _scanned_width(state) == max_red_degree(g)
+        for a, b in _random_full_merges(n, rng):
+            a, b = min(a, b), max(a, b)
+            before = (state.red_count.copy(), state.top, state.max_red_degree())
+            child = state.merged(a, b)
+            if len(child.live) > 1:
+                child.merge(*sorted(child.live)[-2:])
+            assert (state.red_count, state.top, state.max_red_degree()) == before
+            state.merge(a, b)
+            parts[a] |= parts.pop(b)
+            new = state.max_red_degree()
+            by_def = quotient(g, Partition(n, [parts[r] for r in sorted(parts)]))
+            assert new == _scanned_width(state) == max_red_degree(by_def)
+            assert all(not state.black_adj[p] & state.red_adj[p] for p in state.live)
+            rises += new > width
+            falls += new < width
+            width = new
+    assert rises > 0 and falls > 0
+
+
+def _scanned_profile(g, seq):
+    state = ContractionState(g)
+    initial = _scanned_width(state)
+    widths = []
+    for step in seq.steps:
+        state.merge(step.a, step.b)
+        widths.append(_scanned_width(state))
+    return WidthProfile(initial, tuple(widths), max([initial, *widths]))
+
+
+def test_replay_matches_scanned_profile_on_reductions(mincol_demo, mincol_demo_sequence,
+                                                      threecol_demo, threecol_demo_sequence):
+    for g, seq in ((mincol_demo.graph, mincol_demo_sequence),
+                   (threecol_demo.graph, threecol_demo_sequence)):
+        assert seq.is_full
+        assert replay(g, seq) == _scanned_profile(g, seq)
