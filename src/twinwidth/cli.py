@@ -33,13 +33,16 @@ DEFAULT_BUDGET = 20_000_000
 
 
 def _budget(args) -> int | None:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("TWINWIDTH_BUDGET", str(DEFAULT_BUDGET))
-    try:
-        return int(env)
-    except ValueError:
-        raise ParseError(f"TWINWIDTH_BUDGET is not an integer: {env!r}") from None
+    source, budget = "--budget", args.budget
+    if budget is None:
+        source, env = "TWINWIDTH_BUDGET", os.environ.get("TWINWIDTH_BUDGET", str(DEFAULT_BUDGET))
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ParseError(f"TWINWIDTH_BUDGET is not an integer: {env!r}") from None
+    if budget < 0:
+        raise ParseError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 def _read(path: str) -> str:

@@ -98,5 +98,8 @@ class StructureError(TwinwidthError):
     """
 
 
-class KTooSmallError(TwinwidthError):
-    """Lifting to k colors requires k >= 3."""
+class KRangeError(TwinwidthError):
+    """Lifting to k colors requires 3 <= k <= threecol.MAX_K."""
+
+
+KTooSmallError = KRangeError  # the older name, still importable by callers

@@ -65,12 +65,13 @@ def greedy_coloring(g: Trigraph) -> Coloring:
 def greedy_clique(g: Trigraph) -> list[int]:
     """A maximal clique grown greedily from several seeds; a lower bound witness."""
     order = _base_order(g)
+    rank = {v: i for i, v in enumerate(order)}
+    adj = g.black_adj
     best: list[int] = []
     for seed in order[: min(g.n, 24)]:
-        clique = [seed]
-        adj = g.black_adj
-        for v in order:
-            if v != seed and all(v in adj[u] for u in clique):
+        clique = [seed]  # every member is a neighbor of the seed
+        for v in sorted(adj[seed], key=rank.__getitem__):
+            if adj[v].issuperset(clique):
                 clique.append(v)
         if len(clique) > len(best):
             best = clique
@@ -80,23 +81,31 @@ def greedy_clique(g: Trigraph) -> list[int]:
 def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
     """Backtracking k-coloring with conflict-directed backjumping.
 
-    Selection: highest saturation (distinct colors on colored
-    neighbors), ties by descending degree then id; a vertex with at
-    most one color left is taken as soon as the scan meets it.
-    Symmetry breaking: the first vertex colored gets color 1 and a new
-    color may only be introduced as (current max + 1).  Every pruned
-    color remembers the search level that pruned it, so a dead end
-    jumps straight back to its deepest culprit instead of retrying
-    unrelated decisions in between.  Returns 1-based colors, or None.
+    A greedy maximum clique is colored 1, 2, ... first, at level -1 (with
+    more than k members it rules k colors out); a new color may then only
+    be max used + 1.  Selection: highest saturation (distinct colors on
+    colored neighbors), ties by descending degree then id; a vertex with at
+    most one color left is taken as soon as the scan meets it.  A dead end
+    jumps to the deepest level that pruned one of its colors.
+
+    Hall check: a k-clique must use all k colors.  For up to n k-cliques
+    (met within n*k enumeration nodes) the search counts, per color, the
+    members that hold it or could still take it.  A count of 0 is a dead
+    end, blamed on the levels that colored those members or forbade the
+    color on them; at 1 its last supporter is the next vertex, that color
+    first.  Budgets count precolored vertices and colors tried.  Returns
+    1-based colors, or None.
     """
     n = g.n
     if n == 0:
         return []
-    if k <= 0:
+    clique = greedy_clique(g)
+    if len(clique) > k:  # also every k <= 0, since n > 0
         return None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
     order = _base_order(g)
     colors = [0] * n
+    level = [0] * n  # search level that colored each vertex; -1 for the clique
     forbidden = [0] * n
     saturation = [0] * n
     colored = [False] * n
@@ -108,6 +117,43 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
     remaining = n
     full = (1 << k) - 1
 
+    def spend() -> None:
+        nonlocal expansions
+        expansions += 1
+        if budget is not None and expansions > budget:
+            raise BudgetExceeded(f"coloring search exceeded {budget} expansions")
+
+    # the first n k-cliques met within n*k enumeration nodes, ids ascending;
+    # any subset keeps the Hall check sound, and the caps bound its time
+    # and memory however many k-cliques the graph has.  support[q][c]:
+    # members of clique q that hold color c or could still take it
+    cliques: list[list[int]] = []
+    member_of: list[list[int]] = [[] for _ in range(n)]
+    nodes = n * k
+
+    def extend(members: list[int], cand: list[int]) -> None:
+        """cand: the common neighbors of members above their largest id, ascending."""
+        nonlocal nodes
+        nodes -= 1
+        need = k - len(members) - 1  # candidates a child must keep
+        if need < 0:
+            for v in members:
+                member_of[v].append(len(cliques))
+            cliques.append(members)
+            return
+        for i, u in enumerate(cand):
+            if nodes <= 0 or len(cliques) == n:
+                return
+            later = cand[i + 1:] if members else adj[u]  # the root's cand is every vertex
+            nbrs = g.black_adj[u]
+            rest = [w for w in later if w > u and w in nbrs]
+            if len(rest) >= need:
+                extend(members + [u], rest)
+
+    extend([], list(range(n)))
+    support = [[k] * (k + 1) for _ in cliques]
+    singles: list[tuple[int, int]] = []  # (vertex, bit): sole supporter of a color
+
     def blame(vertex: int, mask: int) -> set[int]:
         levels = set()
         bits = forbidden[vertex] & mask
@@ -118,50 +164,77 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
             levels.add(contrib[bit])
         return levels
 
+    def place(v: int, bit: int, depth: int):
+        """Color v and propagate; returns (touched, lost supports, dead-end blame or None)."""
+        colored[v] = True
+        color = colors[v] = bit.bit_length()
+        level[v] = depth
+        touched = []
+        lost = [(q, c) for c in range(1, k + 1) if c != color and not forbidden[v] >> (c - 1) & 1
+                for q in member_of[v]]
+        dead = None
+        for u in adj[v]:
+            if not colored[u] and not forbidden[u] & bit:
+                forbidden[u] |= bit
+                saturation[u] += 1
+                contributor[u][bit] = depth
+                touched.append(u)
+                if saturation[u] == k and dead is None:
+                    dead = blame(u, full)
+                for q in member_of[u]:
+                    lost.append((q, color))
+        for q, c in lost:
+            count = support[q]
+            count[c] -= 1
+            b = 1 << (c - 1)
+            if count[c] == 0 and dead is None:
+                dead = {level[w] if colored[w] else contributor[w][b] for w in cliques[q]}
+            elif count[c] == 1:
+                for w in cliques[q]:
+                    if not colored[w] and not forbidden[w] & b:
+                        singles.append((w, b))
+                        break
+        return touched, lost, dead
+
     def rec(depth: int, max_used: int):
-        """True on success, else (jump level, culprit levels)."""
-        nonlocal expansions, remaining
+        """True on success, else (jump level, culprits)."""
+        nonlocal remaining
         if remaining == 0:
             return True
-        v = -1
-        best = -1
-        for u in order:
-            if not colored[u] and saturation[u] > best:
-                best = saturation[u]
-                v = u
-                if best >= forced:
-                    break
+        v, first = -1, 0
+        for u, b in reversed(singles):
+            if not colored[u]:
+                v, first = u, b
+                break
+        if v < 0:
+            best = -1
+            for u in order:
+                if not colored[u] and saturation[u] > best:
+                    best = saturation[u]
+                    v = u
+                    if best >= forced:
+                        break
         mask = (1 << (max_used + 1 if max_used < k else k)) - 1
         allowed = ~forbidden[v] & mask
+        first &= allowed
         conflict = blame(v, mask)
         if mask != full:
             # colors above max_used+1 were cut by symmetry, not by a
             # neighbor; the cut is owned by the deepest color introducer
             conflict.add(introducer[max_used])
-        colored[v] = True
         remaining -= 1
         while allowed:
-            bit = allowed & -allowed
+            bit = first or allowed & -allowed
+            first = 0
             allowed ^= bit
-            expansions += 1
-            if budget is not None and expansions > budget:
-                raise BudgetExceeded(f"coloring search exceeded {budget} expansions")
+            spend()
             color = bit.bit_length()
-            colors[v] = color
             if color > max_used:
                 introducer[color] = depth
-            touched = []
-            dead = -1
-            for u in adj[v]:
-                if not colored[u] and not forbidden[u] & bit:
-                    forbidden[u] |= bit
-                    saturation[u] += 1
-                    contributor[u][bit] = depth
-                    touched.append(u)
-                    if saturation[u] == k:
-                        dead = u
-            if dead >= 0:
-                jump, culprits = depth, blame(dead, full)
+            mark = len(singles)
+            touched, lost, dead = place(v, bit, depth)
+            if dead is not None:
+                jump, culprits = depth, dead
             else:
                 result = rec(depth + 1, max_used if color <= max_used else color)
                 if result is True:
@@ -170,23 +243,29 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
             for u in touched:
                 forbidden[u] ^= bit
                 saturation[u] -= 1
+            for q, c in lost:
+                support[q][c] += 1
+            del singles[mark:]
             if color > max_used:
                 introducer[color] = -1
             if jump < depth:
-                colors[v] = 0
-                colored[v] = False
-                remaining += 1
-                return jump, culprits
+                break
             conflict |= culprits
             conflict.discard(depth)
+        else:
+            jump = max(conflict, default=-1)
+            culprits = conflict
         colors[v] = 0
         colored[v] = False
         remaining += 1
-        if not conflict:
-            return -1, conflict
-        return max(conflict), conflict
+        return jump, culprits
 
-    if rec(0, 0) is True:
+    for i, v in enumerate(clique):
+        spend()
+        remaining -= 1
+        if place(v, 1 << i, -1)[2] is not None:
+            return None
+    if rec(0, len(clique)) is True:
         return colors
     return None
 

@@ -20,12 +20,15 @@ from typing import Mapping
 from .cnf import (Assignment, CnfFormula, Dialect, literal_value,
                   nae_satisfies)
 from .contraction import PartitionSequence, sequence_from_vertex_merges
-from .errors import (DialectError, KTooSmallError, NotNaeSatisfyingError,
+from .errors import (DialectError, KRangeError, NotNaeSatisfyingError,
                      NotProperError, StructureError, TooManyColorsError)
 from .oracles import Coloring, is_proper
 from .trigraph import Trigraph, VertexRole
 
 _SLOTS = ("u", "v", "w")
+# lift_to_k adds k-3 pairwise-adjacent vertices, each joined to the whole
+# base graph, so k is capped before any of them is allocated
+MAX_K = 64
 
 
 def subdivision_positions(formula: CnfFormula) -> set[tuple[int, int]]:
@@ -233,10 +236,12 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> LiftedInstance:
     Universal vertices are pairwise twins, so the emitted sequence
     merges them into one part first, replays the width-4 sequence on the
     base graph, and folds the universal part in last; the width bound is
-    unchanged.
+    unchanged.  k must lie in 3..MAX_K.
     """
     if k < 3:
-        raise KTooSmallError(f"k must be at least 3, got {k}")
+        raise KRangeError(f"k must be at least 3, got {k}")
+    if k > MAX_K:
+        raise KRangeError(f"k must be at most {MAX_K}, got {k}")
     base = inst.graph
     extra = k - 3
     total = base.n + extra

@@ -55,6 +55,25 @@ def brute_chromatic(g):
     return k
 
 
+def greedy_clique_by_scan(g):
+    """The greedy clique as first written: every seed scans all n vertices.
+
+    Seeds are the first 24 vertices by descending degree, ties by id;
+    each clique takes every later vertex in that order that is adjacent
+    to all of its members, and the first largest clique wins.
+    """
+    order = sorted(range(g.n), key=lambda v: (-len(g.black_adj[v]), v))
+    best = []
+    for seed in order[:min(g.n, 24)]:
+        clique = [seed]
+        for v in order:
+            if v != seed and all(v in g.black_adj[u] for u in clique):
+                clique.append(v)
+        if len(clique) > len(best):
+            best = clique
+    return best
+
+
 def brute_twinwidth(g):
     """Plain recursion over every merge order, bounded by best-so-far."""
     from twinwidth import max_red_degree

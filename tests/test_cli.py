@@ -212,6 +212,15 @@ def test_usage_errors(tmp_path, capsys):
     latin1 = tmp_path / "latin1.cnf"
     latin1.write_bytes("c caf\xe9\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n".encode("latin-1"))
     one_error(["sat", str(latin1)])
+    c5 = tmp_path / "c5.tgf"
+    c5.write_text("tgf 5 5 0\nb 1 2\nb 2 3\nb 3 4\nb 4 5\nb 1 5\n")
+    one_error(["chromatic", str(c5), "--budget", "-5"])
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("TWINWIDTH_BUDGET", "-1")
+        one_error(["tww-exact", str(c5)])
+    nae = tmp_path / "nae.cnf"
+    nae.write_text(DEMO_NAE)
+    one_error(["reduce", "3col", str(nae), "--k", "65"])  # one above threecol.MAX_K
 
 
 def test_budget_env_override(sat_cnf, capsys, monkeypatch):

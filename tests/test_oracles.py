@@ -2,19 +2,32 @@ import random
 
 import pytest
 
+from corpus import random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, random_cograph)
+from reference import greedy_clique_by_scan
 from twinwidth import (CnfFormula, Coloring, Dialect, chromatic_number,
                        exact_twinwidth, is_k_colorable, is_proper,
                        make_trigraph, nae_satisfies, random_formula, redify,
                        satisfies, solve_nae, solve_sat, verify_d_sequence)
+from twinwidth import build_mincol
 from twinwidth.errors import (BudgetExceeded, DialectError, RedEdgeError,
                               UncoloredError)
+from twinwidth.oracles import greedy_clique
 
 K3 = make_trigraph(3, [(0, 1), (1, 2), (0, 2)])
 C5 = make_trigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K4 = make_trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 P4 = make_trigraph(4, [(0, 1), (1, 2), (2, 3)])
+# its mincol graph (117 vertices, 6 colors) once took up to 2.49M search
+# expansions, depending only on how the vertices were numbered
+STRESS = CnfFormula(3, ((-3, -3, -2), (-2, -1, 3), (-1, 2, 2)), Dialect.THREE_SAT)
+
+
+def relabeled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return make_trigraph(g.n, [(perm[u], perm[v]) for u, v in g.black])
 
 
 def test_is_proper():
@@ -86,6 +99,52 @@ def test_colorability_budget():
         chromatic_number(C5, budget=1)
     assert exc.value.upper is not None
 
+
+def test_greedy_clique_matches_full_scan():
+    rng = random.Random(23)
+    graphs = [make_trigraph(0), P4, C5, K4, build_mincol(STRESS).graph]
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.1, 0.3, 0.6, 0.9))
+        graphs.append(make_trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                        if rng.random() < density]))
+    for g in graphs:
+        assert greedy_clique(g) == greedy_clique_by_scan(g)
+
+
+def test_coloring_verdicts_survive_relabeling():
+    corpus = random_threesat_corpus(100, seed=20_240_303)  # part of acceptance 04
+    # the stress graph, then two satisfiable corpus formulas and one that is not
+    cases = [(STRESS, 16)] + [(corpus[i], 4) for i in (1, 3, 21)]
+    # about ten times the median search over 64 relabelings of STRESS (189)
+    budget = 2_000
+    for formula, copies in cases:
+        inst = build_mincol(formula)
+        g, k = inst.graph, inst.color_budget
+        expected = is_k_colorable(g, k, budget=budget)[0], chromatic_number(g, budget=budget)[0]
+        assert expected[0] == (solve_sat(formula) is not None)
+        rng = random.Random(g.n)
+        for _ in range(copies):
+            h = relabeled(g, rng)
+            ok, witness = is_k_colorable(h, k, budget=budget)
+            chi, chi_witness = chromatic_number(h, budget=budget)
+            assert (ok, chi) == expected
+            assert not ok or is_proper(h, witness)
+            assert is_proper(h, chi_witness)
+
+
+def test_many_k_cliques_cost_no_more_than_one_try_per_vertex():
+    # K_2k minus a perfect matching has chromatic number k and 2^k
+    # k-cliques; listing every one of them ran over budget=100_000 at k=14
+    for k in (8, 14, 20):
+        n = 2 * k
+        g = make_trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if u // 2 != v // 2])
+        ok, witness = is_k_colorable(g, k, budget=n)
+        assert ok and is_proper(g, witness)
+        assert chromatic_number(g, budget=n)[0] == k
+        # its greedy clique already has k members
+        assert is_k_colorable(g, k - 1, budget=0) == (False, None)
 
 def test_exact_twinwidth_examples():
     assert exact_twinwidth(K4)[0] == 0

@@ -13,6 +13,8 @@ from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
 from twinwidth.errors import (DialectError, KTooSmallError,
                               NotNaeSatisfyingError, NotProperError,
                               TooManyColorsError)
+from twinwidth.errors import KRangeError
+from twinwidth.threecol import MAX_K
 
 
 def test_subdivision_positions_demo(nae_demo):
@@ -200,6 +202,9 @@ def test_lift_small_and_demo(threecol_demo):
     assert ok
     with pytest.raises(KTooSmallError):
         lift_to_k(inst, 2)
+    assert lift_to_k(inst, MAX_K).graph.n == inst.graph.n + MAX_K - 3
+    with pytest.raises(KRangeError, match=f"^k must be at most {MAX_K}, got {MAX_K + 1}$"):
+        lift_to_k(inst, MAX_K + 1)
 
 
 def test_lift_universal_vertices_touch_everything():
