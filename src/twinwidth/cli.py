@@ -28,6 +28,7 @@ from .report import RunReport
 from .threecol import (build_3col, build_3col_4sequence, lift_to_k,
                        threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment)
+from .trigraph import edge_count
 
 DEFAULT_BUDGET = 20_000_000
 
@@ -98,7 +99,7 @@ def _build(report: RunReport, args):
         else:
             graph, seq, colors = inst.graph, build_3col_4sequence(inst), 3
     report.add("N", graph.n)
-    report.add("edges", len(graph.black))
+    report.add("edges", edge_count(graph.black_adj))
     _certify(report, graph, seq, bound, "generated sequence exceeds width {bound}")
     return inst, graph, seq, colors
 

@@ -98,15 +98,10 @@ class ContractionState:
     """
 
     def __init__(self, g: Trigraph):
-        n = g.n
-        self.live: set[int] = set(range(n))
-        self.black_adj: list[set[int]] = [set() for _ in range(n)]
-        self.red_adj: list[set[int]] = [set() for _ in range(n)]
-        for adj, edges in ((self.black_adj, g.black), (self.red_adj, g.red)):
-            for u, v in edges:
-                adj[u].add(v)
-                adj[v].add(u)
-        self.red_count = [0] * (n + 1)
+        self.live: set[int] = set(range(g.n))
+        self.black_adj: list[set[int]] = list(map(set, g.black_adj))
+        self.red_adj: list[set[int]] = list(map(set, g.red_adj))
+        self.red_count = [0] * (g.n + 1)
         for reds in self.red_adj:
             self.red_count[len(reds)] += 1
         self.top = max(map(len, self.red_adj), default=0)

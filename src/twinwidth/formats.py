@@ -12,7 +12,9 @@ from .cnf import Clause, CnfFormula, Dialect
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import OverlapError, ParseError, SequenceError
 from .oracles import Coloring
-from .trigraph import Trigraph, VertexRole
+from .trigraph import Trigraph, VertexRole, edge_count
+
+MAX_VERTICES = 2**20  # readers refuse larger headers before allocating anything
 
 
 def _data_lines(text: str) -> list[str]:
@@ -34,20 +36,29 @@ def _ints(tokens: list[str], count: int, line: str, what: str) -> list[int]:
     raise ParseError(f"malformed {what}: {line!r}")
 
 
+def _header(lines: list[str], tag: str, count: int) -> list[int]:
+    """The `count` integers after `tag` on the first line; the first is a vertex count."""
+    if not lines or not lines[0].startswith(tag):
+        raise ParseError(f"missing '{tag}' header")
+    values = _ints(lines[0].split()[1:], count, lines[0], "header")
+    if values[0] > MAX_VERTICES:
+        raise ParseError(f"header declares {values[0]} vertices, above the cap of {MAX_VERTICES}")
+    return values
+
+
 # --- trigraph text format -------------------------------------------------
 
 def write_trigraph(g: Trigraph) -> str:
-    lines = [f"tgf {g.n} {len(g.black)} {len(g.red)}"]
-    for tag, edges in (("b", g.black), ("r", g.red)):
-        lines.extend(f"{tag} {u + 1} {v + 1}" for u, v in sorted(edges))
+    lines = [f"tgf {g.n} {edge_count(g.black_adj)} {edge_count(g.red_adj)}"]
+    for tag, adj in (("b", g.black_adj), ("r", g.red_adj)):
+        lines += [f"{tag} {u + 1} {v + 1}" for u, nbrs in enumerate(adj) for v in sorted(nbrs) if v > u]
     return "\n".join(lines) + "\n"
 
 
 def read_trigraph(text: str) -> Trigraph:
+    """Each pair may appear on one edge line only, in either orientation."""
     lines = _data_lines(text)
-    if not lines or not lines[0].startswith("tgf"):
-        raise ParseError("missing 'tgf' header")
-    n, n_black, n_red = _ints(lines[0].split()[1:], 3, lines[0], "header")
+    n, n_black, n_red = _header(lines, "tgf", 3)
     black, red = [], []
     for line in lines[1:]:  # the hot loop on large graphs: no helper calls
         parts = line.split()
@@ -65,10 +76,15 @@ def read_trigraph(text: str) -> Trigraph:
             f"header declares {n_black} black / {n_red} red edges, "
             f"found {len(black)} / {len(red)}")
     try:
-        return Trigraph(n, black, red)
+        g = Trigraph(n, black, red)
     except OverlapError:
         u, v = min({(min(e), max(e)) for e in black} & {(min(e), max(e)) for e in red})
         raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None
+    if edge_count(g.black_adj) + edge_count(g.red_adj) < n_black + n_red:
+        pairs = sorted((min(e), max(e)) for e in black + red)
+        u, v = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
+        raise ParseError(f"pair {u + 1} {v + 1} is on two edge lines")
+    return g
 
 
 # --- contraction sequence format -------------------------------------------
@@ -82,9 +98,7 @@ def write_sequence(seq: PartitionSequence) -> str:
 def read_sequence(text: str) -> PartitionSequence:
     """Merge lines may name any vertex of each part; steps come back canonical."""
     lines = _data_lines(text)
-    if not lines or not lines[0].startswith("seq"):
-        raise ParseError("missing 'seq' header")
-    n, n_steps = _ints(lines[0].split()[1:], 2, lines[0], "header")
+    n, n_steps = _header(lines, "seq", 2)
     merges = []
     for line in lines[1:]:
         tag, *ids = line.split()

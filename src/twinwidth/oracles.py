@@ -36,12 +36,12 @@ class Coloring:
 
 def is_proper(g: Trigraph, col: Coloring) -> bool:
     """True iff no black edge is monochromatic.  Plain graphs only."""
-    if g.red:
+    if any(g.red_adj):
         raise RedEdgeError("propriety is defined for plain graphs (no red edges)")
     if len(col.colors) != g.n:
         raise UncoloredError(f"coloring has {len(col.colors)} entries, graph has {g.n} vertices")
     colors = col.colors
-    return all(colors[u] != colors[v] for u, v in g.black)
+    return all(colors[u] != colors[v] for u, nbrs in enumerate(g.black_adj) for v in nbrs)
 
 
 def _base_order(g: Trigraph) -> list[int]:
@@ -273,7 +273,7 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
 def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
                    ) -> tuple[bool, Coloring | None]:
     """Exact k-colorability with a witness coloring on success."""
-    if g.red:
+    if any(g.red_adj):
         raise RedEdgeError("colorability is defined for plain graphs")
     if g.n == 0:
         return True, Coloring((), max(k, 0))
@@ -293,7 +293,7 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
     otherwise k-colorability searches run upward from the lower bound
     and the first success is the witness.
     """
-    if g.red:
+    if any(g.red_adj):
         raise RedEdgeError("chromatic number is defined for plain graphs")
     if g.n == 0:
         return 0, Coloring((), 0)

@@ -245,7 +245,7 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> LiftedInstance:
     base = inst.graph
     extra = k - 3
     total = base.n + extra
-    edges = list(base.black)
+    edges = [(u, v) for u, nbrs in enumerate(base.black_adj) for v in nbrs if u < v]
     labels = dict(base.labels)
     for t in range(extra):
         vid = base.n + t

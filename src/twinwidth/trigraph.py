@@ -1,16 +1,17 @@
 """Trigraphs: graphs with disjoint black (definite) and red (error) edge sets.
 
-Vertices are dense 0-based integers.  Edge sets are stored as canonical
-(min, max) pairs.  A plain graph is a trigraph with no red edges.
-Instances are immutable after construction; all operations here are pure
-functions returning fresh objects.
+Vertices are dense 0-based integers.  Each vertex's black and red
+neighbors are frozensets, the only edge state; `black` and `red` rebuild
+edge sets from them on every read, so large-graph code reads neighbor
+sets.  A plain graph has no red edges.  Instances are immutable, and
+operations here return fresh objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from itertools import combinations
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import LoopError, OverlapError, PartitionError, RangeError
 
@@ -40,56 +41,60 @@ class VertexRole:
         return cls(parts[0], coords)
 
 
-def _canonical_edges(n: int, pairs: Iterable[Edge], kind: str) -> frozenset[Edge]:
-    out = set()
+_NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
+def _adjacency(n: int, pairs: Iterable[Edge], kind: str) -> tuple[frozenset[int], ...]:
+    adj: list = [set() for _ in range(n)]
     for u, v in pairs:
         if u == v:
             raise LoopError(f"{kind} edge ({u},{v}) is a self-loop")
         if not (0 <= u < n and 0 <= v < n):
             raise RangeError(f"{kind} edge ({u},{v}) out of range for n={n}")
-        out.add((u, v) if u < v else (v, u))
-    return frozenset(out)
+        adj[u].add(v)
+        adj[v].add(u)
+    # In place, so one copy is alive; a plain graph's red side shares one set.
+    for v, nbrs in enumerate(adj):
+        adj[v] = frozenset(nbrs) if nbrs else _NO_NEIGHBORS
+    return tuple(adj)
+
+
+def _edges(adj: Sequence[frozenset[int]]) -> frozenset[Edge]:
+    return frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+
+
+def edge_count(adj: Sequence[frozenset[int]]) -> int:
+    """Number of edges of a symmetric neighbor-set table, from its degree sum."""
+    return sum(map(len, adj)) // 2
 
 
 class Trigraph:
-    """Vertex set 0..n-1 with disjoint black and red edge sets."""
+    """Vertex set 0..n-1 with disjoint black and red neighbor sets `black_adj`, `red_adj`."""
 
     def __init__(self, n: int, black: Iterable[Edge] = (), red: Iterable[Edge] = (),
                  labels: Optional[Mapping[int, VertexRole]] = None):
         if n < 0:
             raise RangeError(f"vertex count must be non-negative, got {n}")
         self.n = n
-        self.black = _canonical_edges(n, black, "black")
-        self.red = _canonical_edges(n, red, "red")
-        overlap = self.black & self.red
-        if overlap:
-            raise OverlapError(f"edges both black and red: {sorted(overlap)}")
+        self.black_adj = _adjacency(n, black, "black")
+        self.red_adj = _adjacency(n, red, "red")
+        if not all(map(frozenset.isdisjoint, self.black_adj, self.red_adj)):
+            raise OverlapError(f"edges both black and red: {sorted(self.black & self.red)}")
         self.labels: dict[int, VertexRole] = dict(labels) if labels else {}
 
-    @cached_property
-    def black_adj(self) -> tuple[frozenset[int], ...]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.black:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+    @property
+    def black(self) -> frozenset[Edge]:
+        return _edges(self.black_adj)
 
-    @cached_property
-    def red_adj(self) -> tuple[frozenset[int], ...]:
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.red:
-            adj[u].add(v)
-            adj[v].add(u)
-        return tuple(frozenset(s) for s in adj)
+    @property
+    def red(self) -> frozenset[Edge]:
+        return _edges(self.red_adj)
 
     def __repr__(self) -> str:
-        return f"Trigraph(n={self.n}, black={len(self.black)}, red={len(self.red)})"
+        return f"Trigraph(n={self.n}, black={edge_count(self.black_adj)}, red={edge_count(self.red_adj)})"
 
 
-def make_trigraph(n: int, black: Iterable[Edge] = (), red: Iterable[Edge] = (),
-                  labels: Optional[Mapping[int, VertexRole]] = None) -> Trigraph:
-    """Validated constructor; duplicate edges within one list collapse."""
-    return Trigraph(n, black, red, labels)
+make_trigraph = Trigraph  # the validated constructor; repeated edges in one list collapse
 
 
 class Partition:
@@ -141,25 +146,18 @@ def quotient(g: Trigraph, p: Partition) -> Trigraph:
     """
     if p.n != g.n:
         raise PartitionError(f"partition is over {p.n} vertices, trigraph has {g.n}")
-    k = len(p.parts)
-    black_pairs = []
-    red_pairs = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            blacks = reds = 0
-            for u in p.parts[i]:
-                bu, ru = g.black_adj[u], g.red_adj[u]
-                for v in p.parts[j]:
-                    if v in bu:
-                        blacks += 1
-                    elif v in ru:
-                        reds += 1
-            total = len(p.parts[i]) * len(p.parts[j])
-            if reds > 0 or 0 < blacks < total:
-                red_pairs.append((i, j))
-            elif blacks == total:
-                black_pairs.append((i, j))
-    return Trigraph(k, black_pairs, red_pairs)
+    black_pairs, red_pairs = [], []
+    for (i, part_i), (j, part_j) in combinations(enumerate(p.parts), 2):
+        blacks = reds = 0
+        for u in part_i:
+            blacks += len(g.black_adj[u] & part_j)
+            reds += len(g.red_adj[u] & part_j)
+        total = len(part_i) * len(part_j)
+        if reds > 0 or 0 < blacks < total:
+            red_pairs.append((i, j))
+        elif blacks == total:
+            black_pairs.append((i, j))
+    return Trigraph(len(p.parts), black_pairs, red_pairs)
 
 
 def redify(g: Trigraph) -> Trigraph:

@@ -221,6 +221,14 @@ def test_usage_errors(tmp_path, capsys):
     nae = tmp_path / "nae.cnf"
     nae.write_text(DEMO_NAE)
     one_error(["reduce", "3col", str(nae), "--k", "65"])  # one above threecol.MAX_K
+    # refused by formats.MAX_VERTICES before anything is allocated
+    huge = tmp_path / "huge.tgf"
+    huge.write_text("tgf 1000000000000 0 0\n")
+    one_error(["chromatic", str(huge)])
+    one_error(["tww-exact", str(huge)])
+    huge_seq = tmp_path / "huge.seq"
+    huge_seq.write_text("seq 1000000000000 0\n")
+    one_error(["verify-sequence", str(p4), str(huge_seq), "--max-width", "1"])
 
 
 def test_budget_env_override(sat_cnf, capsys, monkeypatch):

@@ -7,6 +7,7 @@ from twinwidth import (ContractionState, MergeStep, PartitionSequence,
                        make_trigraph, redify, replay,
                        sequence_from_vertex_merges, verify_d_sequence)
 from twinwidth import Partition, WidthProfile, max_red_degree, quotient
+from twinwidth import exact_twinwidth
 from twinwidth.errors import PartialSequenceError, SequenceError
 
 
@@ -199,3 +200,17 @@ def test_replay_matches_scanned_profile_on_reductions(mincol_demo, mincol_demo_s
                    (threecol_demo.graph, threecol_demo_sequence)):
         assert seq.is_full
         assert replay(g, seq) == _scanned_profile(g, seq)
+
+
+def test_engine_leaves_the_graph_alone(mincol_demo, mincol_demo_sequence):
+    """The engine copies the graph's neighbor sets and never writes to them."""
+    red_graph = make_trigraph(5, [(0, 1), (1, 2), (3, 4)], [(0, 2), (2, 3), (1, 4)])
+    red_seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
+    for g, seq in ((red_graph, red_seq), (mincol_demo.graph, mincol_demo_sequence)):
+        before = [set(s) for s in g.black_adj + g.red_adj]
+        profile = replay(g, seq)
+        ContractionState(g).merged(0, 1)
+        if g is red_graph:
+            exact_twinwidth(g)
+        assert list(g.black_adj + g.red_adj) == before
+        assert replay(g, seq) == profile

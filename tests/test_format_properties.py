@@ -1,0 +1,64 @@
+"""Property tests: the trigraph text format round-trips, and its reader fails cleanly.
+
+Runs when the optional test extra (hypothesis) is installed.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from twinwidth import Trigraph, make_trigraph  # noqa: E402
+from twinwidth.errors import TwinwidthError  # noqa: E402
+from twinwidth.formats import read_trigraph, write_trigraph  # noqa: E402
+
+
+@st.composite
+def trigraphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    colors = draw(st.lists(st.sampled_from("-br"), min_size=len(pairs), max_size=len(pairs)))
+    black = [e for e, c in zip(pairs, colors) if c == "b"]
+    red = [e for e, c in zip(pairs, colors) if c == "r"]
+    return make_trigraph(n, black, red)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trigraphs())
+def test_write_read_write_is_byte_exact(g):
+    text = write_trigraph(g)
+    h = read_trigraph(text)
+    assert write_trigraph(h) == text
+    assert (h.n, h.black_adj, h.red_adj) == (g.n, g.black_adj, g.red_adj)
+
+
+# Small ids only, so a header never asks for a large allocation; free
+# text has no decimal digits for the same reason.
+IDS = st.integers(-1, 6).map(str)
+TOKENS = st.one_of(
+    IDS,
+    st.sampled_from(["tgf", "b", "r", "m", "#", "1_0", "٣", "+1", "-0", "1.0", ""]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
+FREE = st.lists(TOKENS, max_size=5).map(" ".join)
+EDGE = st.tuples(st.sampled_from("br"), *[st.integers(1, 4).map(str)] * 2).map(" ".join)
+
+
+@st.composite
+def trigraph_texts(draw):
+    """Edge lines under a header whose counts are often the true ones, with free lines mixed in."""
+    body = draw(st.lists(EDGE, max_size=8) | st.lists(EDGE | FREE, max_size=8))
+    true_counts = [str(sum(line.startswith(tag + " ") for line in body)) for tag in "br"]
+    counts = draw(st.just(true_counts) | st.lists(IDS, min_size=2, max_size=2))
+    header = draw(st.just(" ".join(["tgf", draw(IDS), *counts])) | FREE)
+    return "\n".join([header, *body])
+
+
+@settings(max_examples=300, deadline=None)
+@given(trigraph_texts())
+def test_reader_returns_a_trigraph_or_a_twinwidth_error(text):
+    try:
+        g = read_trigraph(text)
+    except TwinwidthError:
+        return
+    assert isinstance(g, Trigraph)

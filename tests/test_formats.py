@@ -47,6 +47,13 @@ def test_trigraph_comments_and_errors():
         read_trigraph("tgf 2 1 0\nb 2 2\n")
     with pytest.raises(ParseError, match="pair 1 2 is both a black and a red edge"):
         read_trigraph("tgf 2 1 1\nb 1 2\nr 2 1\n")
+    # a pair is on one edge line only, whatever its orientation or color
+    with pytest.raises(ParseError, match="pair 1 2 is on two edge lines"):
+        read_trigraph("tgf 2 2 0\nb 1 2\nb 2 1\n")
+    with pytest.raises(ParseError, match="pair 2 3 is on two edge lines"):
+        read_trigraph("tgf 3 1 2\nb 1 2\nr 3 2\nr 3 2\n")
+    with pytest.raises(ParseError, match="pair 1 2 is both a black and a red edge"):
+        read_trigraph("tgf 2 2 1\nb 1 2\nb 1 2\nr 1 2\n")
 
 
 def test_sequence_round_trip():
