@@ -53,9 +53,10 @@ def _read(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _maybe_write(path: str | None, text: str) -> None:
+def _maybe_write(path: str | None, render, value) -> None:
+    """Write render(value) to path; nothing is rendered when no path is given."""
     if path:
-        Path(path).write_text(text)
+        Path(path).write_text(render(value))
 
 
 def _read_formula(report: RunReport, path: str, nae: bool) -> CnfFormula:
@@ -107,9 +108,9 @@ def _build(report: RunReport, args):
 def _cmd_reduce(args) -> RunReport:
     report = RunReport(f"reduce {args.target} {args.cnf}")
     _, graph, seq, _ = _build(report, args)
-    _maybe_write(args.graph, formats.write_trigraph(graph))
-    _maybe_write(args.sequence, formats.write_sequence(seq))
-    _maybe_write(args.roles, formats.write_roles(graph))
+    _maybe_write(args.graph, formats.write_trigraph, graph)
+    _maybe_write(args.sequence, formats.write_sequence, seq)
+    _maybe_write(args.roles, formats.write_roles, graph)
     return report
 
 
@@ -136,7 +137,7 @@ def _cmd_tww_exact(args) -> RunReport:
     ok, _ = verify_d_sequence(g, seq, width)
     if not ok:
         report.fail("witness sequence does not verify at the reported width")
-    _maybe_write(args.witness, formats.write_sequence(seq))
+    _maybe_write(args.witness, formats.write_sequence, seq)
     return report
 
 
@@ -152,7 +153,7 @@ def _cmd_chromatic(args) -> RunReport:
     report.add("chromatic_number", chi)
     if not is_proper(g, witness):
         report.fail("witness coloring rejected by the propriety checker")
-    _maybe_write(args.coloring, formats.write_coloring(witness))
+    _maybe_write(args.coloring, formats.write_coloring, witness)
     return report
 
 
@@ -165,7 +166,7 @@ def _cmd_solve(args) -> RunReport:
     if model is not None:
         report.add("assignment", " ".join(
             str(v if model[v] else -v) for v in sorted(model)))
-        _maybe_write(args.assignment, formats.write_assignment(model))
+        _maybe_write(args.assignment, formats.write_assignment, model)
     return report
 
 

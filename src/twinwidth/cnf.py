@@ -27,8 +27,8 @@ class Dialect(enum.Enum):
 class CnfFormula:
     """A 3-SAT or NAE-3-SAT instance.
 
-    Invariants (checked at construction): variable indices lie in
-    [1, n_vars]; every variable occurs in at least one clause; NAE
+    Invariants (checked at construction): n_vars >= 0; variable indices
+    lie in [1, n_vars]; every variable occurs in at least one clause; NAE
     clauses are on three distinct variables; no clause contains both a
     variable and its negation (such a clause would break the forward
     coloring of the coloring-number reduction, so the dialect excludes
@@ -40,6 +40,8 @@ class CnfFormula:
     dialect: Dialect = Dialect.THREE_SAT
 
     def __post_init__(self):
+        if self.n_vars < 0:
+            raise RangeError(f"variable count must be non-negative, got {self.n_vars}")
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         seen: set[int] = set()
         for clause in self.clauses:

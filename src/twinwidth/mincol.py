@@ -15,7 +15,7 @@ block construction (block index i, offset j); vertex ids are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .cnf import Assignment, CnfFormula, Dialect, literal_value, satisfies
 from .contraction import PartitionSequence, sequence_from_vertex_merges
@@ -58,17 +58,8 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     p = 2 * n + m
     width = 2 * n
     side = width * p
-    total = 4 * n * p + p
-
-    def a(i, j):
-        return (i - 1) * width + (j - 1)
-
-    def b(i, j):
-        return side + (i - 1) * width + (j - 1)
-
-    def v(i):
-        return 2 * side + (i - 1)
-
+    layout = MinColInstance(formula, n, m, p, None)
+    a, b, v = layout.a, layout.b, layout.v
     edges: list[tuple[int, int]] = []
 
     # Each side is the (2n-1)-th power of a path: vertices at path
@@ -113,8 +104,7 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
             labels[b(i, j)] = VertexRole("B", (i, j))
         labels[v(i)] = VertexRole("V", (i,))
 
-    graph = Trigraph(total, edges, (), labels)
-    return MinColInstance(formula, n, m, p, graph)
+    return replace(layout, graph=Trigraph(2 * side + p, edges, (), labels))
 
 
 def build_mincol_3sequence(inst: MinColInstance) -> PartitionSequence:

@@ -58,8 +58,7 @@ def greedy_coloring(g: Trigraph) -> Coloring:
         while c in used:
             c += 1
         colors[v] = c
-    k = max(colors, default=1)
-    return Coloring(tuple(colors), max(k, 1))
+    return Coloring(tuple(colors), max(colors, default=1))
 
 
 def greedy_clique(g: Trigraph) -> list[int]:
@@ -78,14 +77,16 @@ def greedy_clique(g: Trigraph) -> list[int]:
     return best
 
 
-def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
-    """Backtracking k-coloring with conflict-directed backjumping.
+def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
+                   ) -> tuple[bool, Coloring | None]:
+    """Exact k-colorability with a witness coloring on success.
 
-    A greedy maximum clique is colored 1, 2, ... first, at level -1 (with
-    more than k members it rules k colors out); a new color may then only
-    be max used + 1.  Selection: highest saturation (distinct colors on
-    colored neighbors), ties by descending degree then id; a vertex with at
-    most one color left is taken as soon as the scan meets it.  A dead end
+    Backtracking with conflict-directed backjumping.  A greedy maximum
+    clique is colored 1, 2, ... first, at level -1 (with more than k
+    members it rules k colors out); a new color may then only be max
+    used + 1.  Selection: highest saturation (distinct colors on colored
+    neighbors), ties by descending degree then id; a vertex with at most
+    one color left is taken as soon as the scan meets it.  A dead end
     jumps to the deepest level that pruned one of its colors.
 
     Hall check: a k-clique must use all k colors.  For up to n k-cliques
@@ -93,22 +94,22 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
     members that hold it or could still take it.  A count of 0 is a dead
     end, blamed on the levels that colored those members or forbade the
     color on them; at 1 its last supporter is the next vertex, that color
-    first.  Budgets count precolored vertices and colors tried.  Returns
-    1-based colors, or None.
+    first.  Budgets count precolored vertices and colors tried.
     """
+    if any(g.red_adj):
+        raise RedEdgeError("colorability is defined for plain graphs")
     n = g.n
     if n == 0:
-        return []
+        return True, Coloring((), max(k, 0))
     clique = greedy_clique(g)
     if len(clique) > k:  # also every k <= 0, since n > 0
-        return None
+        return False, None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
     order = _base_order(g)
     colors = [0] * n
     level = [0] * n  # search level that colored each vertex; -1 for the clique
     forbidden = [0] * n
     saturation = [0] * n
-    colored = [False] * n
     # contributor[v][bit]: level whose assignment forbade that color on v
     contributor: list[dict[int, int]] = [dict() for _ in range(n)]
     introducer = [-1] * (k + 1)  # level that first used each color
@@ -166,7 +167,6 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
 
     def place(v: int, bit: int, depth: int):
         """Color v and propagate; returns (touched, lost supports, dead-end blame or None)."""
-        colored[v] = True
         color = colors[v] = bit.bit_length()
         level[v] = depth
         touched = []
@@ -174,7 +174,7 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
                 for q in member_of[v]]
         dead = None
         for u in adj[v]:
-            if not colored[u] and not forbidden[u] & bit:
+            if not colors[u] and not forbidden[u] & bit:
                 forbidden[u] |= bit
                 saturation[u] += 1
                 contributor[u][bit] = depth
@@ -188,10 +188,10 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
             count[c] -= 1
             b = 1 << (c - 1)
             if count[c] == 0 and dead is None:
-                dead = {level[w] if colored[w] else contributor[w][b] for w in cliques[q]}
+                dead = {level[w] if colors[w] else contributor[w][b] for w in cliques[q]}
             elif count[c] == 1:
                 for w in cliques[q]:
-                    if not colored[w] and not forbidden[w] & b:
+                    if not colors[w] and not forbidden[w] & b:
                         singles.append((w, b))
                         break
         return touched, lost, dead
@@ -203,13 +203,13 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
             return True
         v, first = -1, 0
         for u, b in reversed(singles):
-            if not colored[u]:
+            if not colors[u]:
                 v, first = u, b
                 break
         if v < 0:
             best = -1
             for u in order:
-                if not colored[u] and saturation[u] > best:
+                if not colors[u] and saturation[u] > best:
                     best = saturation[u]
                     v = u
                     if best >= forced:
@@ -256,7 +256,6 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
             jump = max(conflict, default=-1)
             culprits = conflict
         colors[v] = 0
-        colored[v] = False
         remaining += 1
         return jump, culprits
 
@@ -264,25 +263,10 @@ def _color_search(g: Trigraph, k: int, budget: int | None) -> list[int] | None:
         spend()
         remaining -= 1
         if place(v, 1 << i, -1)[2] is not None:
-            return None
+            return False, None
     if rec(0, len(clique)) is True:
-        return colors
-    return None
-
-
-def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
-                   ) -> tuple[bool, Coloring | None]:
-    """Exact k-colorability with a witness coloring on success."""
-    if any(g.red_adj):
-        raise RedEdgeError("colorability is defined for plain graphs")
-    if g.n == 0:
-        return True, Coloring((), max(k, 0))
-    if k <= 0:
-        return False, None
-    found = _color_search(g, k, budget)
-    if found is None:
-        return False, None
-    return True, Coloring(tuple(found), k)
+        return True, Coloring(tuple(colors), k)
+    return False, None
 
 
 def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Coloring]:
@@ -298,7 +282,7 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
     if g.n == 0:
         return 0, Coloring((), 0)
     greedy = greedy_coloring(g)
-    lower = max(1, len(greedy_clique(g)))
+    lower = len(greedy_clique(g))
     for k in range(lower, greedy.k):
         try:
             ok, witness = is_k_colorable(g, k, budget)
@@ -366,13 +350,15 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
     return upper, upper_seq
 
 
-def _solve_cnf(formula: CnfFormula, nae: bool) -> Assignment | None:
+def _solve_cnf(formula: CnfFormula) -> Assignment | None:
     """Backtracking over variables in index order, False before True.
 
-    The first model found is the lexicographically smallest (False < True).
+    Clauses are read under the formula's own dialect.  The first model
+    found is the lexicographically smallest (False < True).
     """
     n = formula.n_vars
     clauses = formula.clauses
+    nae = formula.dialect is Dialect.NAE_THREE_SAT
     occ: list[list[int]] = [[] for _ in range(n + 1)]
     for ci, clause in enumerate(clauses):
         for lit in clause:
@@ -410,11 +396,11 @@ def solve_sat(formula: CnfFormula) -> Assignment | None:
     """Lexicographically smallest satisfying assignment, or None."""
     if formula.dialect is not Dialect.THREE_SAT:
         raise DialectError("solve_sat expects the 3-SAT dialect")
-    return _solve_cnf(formula, nae=False)
+    return _solve_cnf(formula)
 
 
 def solve_nae(formula: CnfFormula) -> Assignment | None:
     """Lexicographically smallest NAE-satisfying assignment, or None."""
     if formula.dialect is not Dialect.NAE_THREE_SAT:
         raise DialectError("solve_nae expects the NAE-3-SAT dialect")
-    return _solve_cnf(formula, nae=True)
+    return _solve_cnf(formula)

@@ -36,9 +36,17 @@ class VertexRole:
 
     @classmethod
     def parse(cls, text: str) -> "VertexRole":
+        """Inverse of str(): a coordinate is an int exactly when str() writes it so."""
         parts = text.split()
-        coords = tuple(int(p) if p.lstrip("-").isdigit() else p for p in parts[1:])
-        return cls(parts[0], coords)
+        return cls(parts[0], tuple(map(_coordinate, parts[1:])))
+
+
+def _coordinate(token: str) -> int | str:
+    try:
+        value = int(token)
+    except ValueError:
+        return token
+    return value if str(value) == token else token
 
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()

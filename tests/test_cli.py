@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 import twinwidth.cli
+import twinwidth.formats
 import twinwidth.oracles
 from twinwidth.cli import main
 from twinwidth.formats import read_sequence, read_trigraph
@@ -44,6 +45,16 @@ def test_reduce_mincol_writes_artifacts(tmp_path, sat_cnf, capsys):
     s = read_sequence(seq.read_text())
     assert len(s.steps) == 103
     assert roles.read_text().splitlines()[0] == "1 A 1 1"
+
+
+def test_reduce_renders_no_output_without_its_flag(sat_cnf, capsys, monkeypatch):
+    def refuse(_):
+        raise AssertionError("rendered an output that no flag asked for")
+
+    for name in ("write_trigraph", "write_sequence", "write_roles"):
+        monkeypatch.setattr(twinwidth.formats, name, refuse)
+    assert main(["reduce", "mincol", str(sat_cnf)]) == 0
+    assert "sequence_ok_at_3: True" in capsys.readouterr().out
 
 
 def test_reduce_3col(tmp_path, nae_cnf, capsys):
@@ -229,6 +240,9 @@ def test_usage_errors(tmp_path, capsys):
     huge_seq = tmp_path / "huge.seq"
     huge_seq.write_text("seq 1000000000000 0\n")
     one_error(["verify-sequence", str(p4), str(huge_seq), "--max-width", "1"])
+    no_vars = tmp_path / "no_vars.cnf"
+    no_vars.write_text("p cnf -1 0\n")
+    one_error(["sat", str(no_vars)])
 
 
 def test_budget_env_override(sat_cnf, capsys, monkeypatch):

@@ -37,6 +37,8 @@ def test_range_and_arity():
         CnfFormula(2, ((1, 2, 3),), Dialect.THREE_SAT)
     with pytest.raises(DialectError):
         CnfFormula(2, ((1, 2),), Dialect.THREE_SAT)
+    with pytest.raises(RangeError, match="non-negative"):
+        CnfFormula(-1, ())
 
 
 def test_evaluation():

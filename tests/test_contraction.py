@@ -22,6 +22,10 @@ def test_merge_script_rejects_same_part():
         sequence_from_vertex_merges(3, [(0, 1), (1, 0)])
     with pytest.raises(SequenceError):
         sequence_from_vertex_merges(3, [(0, 3)])
+    # one merge more than a full sequence always names a single part twice
+    for n in (1, 2, 5):
+        with pytest.raises(SequenceError, match="already in the same part"):
+            sequence_from_vertex_merges(n, [(v, v + 1) for v in range(n - 1)] + [(n - 1, 0)])
 
 
 def test_empty_script_is_partial():

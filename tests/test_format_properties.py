@@ -1,4 +1,4 @@
-"""Property tests: the trigraph text format round-trips, and its reader fails cleanly.
+"""Property tests: the trigraph text format round-trips, and every reader fails cleanly.
 
 Runs when the optional test extra (hypothesis) is installed.
 """
@@ -8,9 +8,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from twinwidth import Trigraph, make_trigraph  # noqa: E402
+from twinwidth import Dialect, Trigraph, make_trigraph  # noqa: E402
 from twinwidth.errors import TwinwidthError  # noqa: E402
-from twinwidth.formats import read_trigraph, write_trigraph  # noqa: E402
+from twinwidth.formats import (parse_dimacs_cnf, read_assignment,  # noqa: E402
+                               read_coloring, read_roles, read_sequence,
+                               read_trigraph, write_trigraph)
 
 
 @st.composite
@@ -62,3 +64,30 @@ def test_reader_returns_a_trigraph_or_a_twinwidth_error(text):
     except TwinwidthError:
         return
     assert isinstance(g, Trigraph)
+
+
+# Tokens of the other formats, including ones that only look like
+# integers to a careless check (`--5`, a superscript two).  Lines often
+# start with an id, as every line of these formats does.
+OTHER_TOKENS = st.sampled_from(["-1", "0", "1", "2", "3", "--5", "\u00b2", "x", "b", "m",
+                                "p", "cnf", "seq", "#", "c", "A", "u"])
+OTHER_LINES = st.lists(OTHER_TOKENS, max_size=5).map(" ".join)
+ID_LINES = st.tuples(IDS, OTHER_LINES).map(" ".join)
+READERS = {
+    "sequence": read_sequence,
+    "coloring": read_coloring,
+    "assignment": read_assignment,
+    "roles": read_roles,
+    "cnf": parse_dimacs_cnf,
+    "nae": lambda text: parse_dimacs_cnf(text, Dialect.NAE_THREE_SAT),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(ID_LINES | OTHER_LINES, max_size=6).map("\n".join))
+def test_other_readers_return_a_value_or_a_twinwidth_error(reader, text):
+    try:
+        READERS[reader](text)
+    except TwinwidthError:
+        pass

@@ -71,6 +71,8 @@ def test_sequence_round_trip():
         read_sequence("seq 3 2\nm 1 2\nm 2 1\n")
     with pytest.raises(ParseError):
         read_sequence("seq 3 1\nm 1 x\n")
+    with pytest.raises(ParseError, match="non-negative"):
+        read_sequence("seq -1 0\n")
     # merge lines may name any vertex of each part
     assert read_sequence("seq 3 2\nm 1 2\nm 2 3\n") == \
         sequence_from_vertex_merges(3, [(0, 1), (0, 2)])
@@ -121,6 +123,12 @@ def test_roles_round_trip():
             read_roles(bad)
     with pytest.raises(ParseError, match="vertex 1 has two role lines"):
         read_roles("1 A 1 1\n1 B 2 2\n")
+    # a coordinate is an int only when it reads back as written
+    for text, coords in (("1 A --5\n", ("--5",)), ("1 A \u00b2\n", ("\u00b2",)),
+                         ("1 A -3 007\n", (-3, "007"))):
+        roles = read_roles(text)
+        assert roles == {0: VertexRole("A", coords)}
+        assert write_roles(make_trigraph(1, labels=roles)) == text
 
 
 def test_parse_dimacs_demo():

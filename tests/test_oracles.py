@@ -56,6 +56,18 @@ def test_k_colorable_examples():
     assert is_proper(make_trigraph(3, [(0, 1), (1, 2)]), witness)
 
 
+def test_no_colors_and_no_vertices():
+    p3 = make_trigraph(3, [(0, 1), (1, 2)])
+    assert is_k_colorable(p3, 0) == (False, None)
+    assert is_k_colorable(p3, -2) == (False, None)
+    assert is_k_colorable(p3, 0, budget=0) == (False, None)
+    assert is_k_colorable(make_trigraph(0), 0) == (True, Coloring((), 0))
+    assert is_k_colorable(make_trigraph(0), -1) == (True, Coloring((), 0))
+    with pytest.raises(RedEdgeError):
+        is_k_colorable(make_trigraph(2, [], [(0, 1)]), 0)
+    assert chromatic_number(make_trigraph(1)) == (1, Coloring((1,), 1))
+
+
 def test_k_colorable_is_deterministic():
     g = make_trigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     runs = {is_k_colorable(g, 3)[1].colors for _ in range(3)}
