@@ -351,45 +351,72 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
 
 
 def _solve_cnf(formula: CnfFormula) -> Assignment | None:
-    """Backtracking over variables in index order, False before True.
+    """DPLL over variables in index order, False before True.
 
-    Clauses are read under the formula's own dialect.  The first model
-    found is the lexicographically smallest (False < True).
+    An NAE clause (a, b, c) is read as (a, b, c) and (-a, -b, -c), and a
+    repeated 3-SAT literal counts once.  After each decision, unit
+    propagation sets a clause's last unfalsified literal true, to a
+    fixpoint or a violated clause.  A forced literal holds in every model
+    that extends the current prefix, so only subtrees without a model are
+    pruned, and the first model found is the lexicographically smallest
+    (False < True), as in plain backtracking.
     """
     n = formula.n_vars
-    clauses = formula.clauses
-    nae = formula.dialect is Dialect.NAE_THREE_SAT
-    occ: list[list[int]] = [[] for _ in range(n + 1)]
-    for ci, clause in enumerate(clauses):
+    clauses = [tuple(dict.fromkeys(c)) for c in formula.clauses]
+    if formula.dialect is Dialect.NAE_THREE_SAT:
+        clauses += [tuple(-lit for lit in c) for c in clauses]
+    # indexed by literal: entry -v sits at the far end, so v and -v never collide
+    occ: list[list[tuple[int, ...]]] = [[] for _ in range(2 * n + 1)]
+    for clause in clauses:
         for lit in clause:
-            if ci not in occ[abs(lit)]:
-                occ[abs(lit)].append(ci)
-    values: list[bool | None] = [None] * (n + 1)
+            occ[lit].append(clause)
+    value: list[bool | None] = [None] * (2 * n + 1)
+    trail: list[int] = []  # true literals in the order they were set
+    decisions: list[int] = []  # trail length before each decision still on False
 
-    def clause_dead(ci: int) -> bool:
-        vals = []
-        for lit in clauses[ci]:
-            v = values[abs(lit)]
-            if v is None:
-                return False
-            vals.append(v if lit > 0 else not v)
-        if nae:
-            return all(vals) or not any(vals)
-        return not any(vals)
+    def propagate(lit: int) -> bool:
+        """Set lit true and force literals to a fixpoint; False on a conflict."""
+        if value[lit] is not None:
+            return value[lit]
+        head = len(trail)
+        trail.append(lit)
+        value[lit], value[-lit] = True, False
+        while head < len(trail):
+            for clause in occ[-trail[head]]:
+                free = 0
+                for other in clause:
+                    v = value[other]
+                    if v or v is None and free:
+                        break  # satisfied, or a second unset literal
+                    if v is None:
+                        free = other
+                else:
+                    if not free:
+                        return False
+                    trail.append(free)
+                    value[free], value[-free] = True, False
+            head += 1
+        return True
 
-    def backtrack(var: int) -> Assignment | None:
-        if var > n:
-            return {v: values[v] for v in range(1, n + 1)}
-        for choice in (False, True):
-            values[var] = choice
-            if not any(clause_dead(ci) for ci in occ[var]):
-                model = backtrack(var + 1)
-                if model is not None:
-                    return model
-        values[var] = None
-        return None
-
-    return backtrack(1)
+    ok = all(propagate(c[0]) for c in clauses if len(c) == 1)
+    var = 1
+    while True:
+        if ok:
+            while var <= n and value[var] is not None:
+                var += 1
+            if var > n:
+                return {v: value[v] for v in range(1, n + 1)}
+            decisions.append(len(trail))
+            ok = propagate(-var)
+        elif decisions:  # undo the deepest False decision, then try True
+            mark = decisions.pop()
+            var = -trail[mark]
+            for lit in trail[mark:]:
+                value[lit] = value[-lit] = None
+            del trail[mark:]
+            ok = propagate(var)
+        else:
+            return None
 
 
 def solve_sat(formula: CnfFormula) -> Assignment | None:

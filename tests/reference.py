@@ -8,7 +8,7 @@ enumeration instead of branch and bound), so agreement is meaningful.
 import itertools
 
 from twinwidth import Partition, make_trigraph, quotient
-from twinwidth.cnf import literal_value
+from twinwidth.cnf import Dialect, literal_value
 
 
 def quotient_by_definition(g, parts):
@@ -120,6 +120,38 @@ def brute_nae(formula):
         if ok:
             return a
     return None
+
+
+def backtrack_solve(formula):
+    """Recursive backtracking in variable-index order, False before True.
+
+    A clause is checked once all its variables are set, so the first
+    model found is the lexicographically smallest.  Moderate n only.
+    """
+    n = formula.n_vars
+    nae = formula.dialect is Dialect.NAE_THREE_SAT
+    last = {}  # variable -> the clauses it is the largest variable of
+    for c in formula.clauses:
+        last.setdefault(max(map(abs, c)), []).append([(abs(l), l > 0) for l in c])
+    values = {}
+
+    def dead(clause):
+        vals = [values[v] == sign for v, sign in clause]
+        return all(vals) or not any(vals) if nae else not any(vals)
+
+    def rec(var):
+        if var > n:
+            return dict(values)
+        for choice in (False, True):
+            values[var] = choice
+            if not any(dead(c) for c in last.get(var, ())):
+                model = rec(var + 1)
+                if model is not None:
+                    return model
+        del values[var]
+        return None
+
+    return rec(1)
 
 
 def all_graphs(n):

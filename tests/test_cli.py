@@ -142,6 +142,28 @@ def test_sat_and_nae_commands(tmp_path, sat_cnf, nae_cnf, capsys):
     assert "satisfiable: False" in capsys.readouterr().out
 
 
+def test_solvers_do_not_recurse(tmp_path, capsys):
+    units = tmp_path / "units.cnf"
+    units.write_text("p cnf 1000 1000\n" + "".join(f"{v} {v} {v} 0\n" for v in range(1, 1001)))
+    assert main(["sat", str(units)]) == 0
+    out = capsys.readouterr().out
+    assert "satisfiable: True" in out
+    assert f"assignment: {' '.join(map(str, range(1, 1001)))}\n" in out
+    chain = tmp_path / "chain.cnf"
+    chain.write_text("p cnf 1500 1498\n" + "".join(f"{v} {v + 1} {v + 2} 0\n" for v in range(1, 1499)))
+    assert main(["nae", str(chain)]) == 0
+    assert "satisfiable: True" in capsys.readouterr().out
+
+
+def test_deep_coloring_search_is_an_input_error(tmp_path, capsys):
+    cycle = tmp_path / "c2001.tgf"
+    cycle.write_text("tgf 2001 2001 0\n" + "".join(f"b {i} {i % 2001 + 1}\n" for i in range(1, 2002)))
+    assert main(["chromatic", str(cycle)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search too deep for the Python recursion limit\n"
+
+
 def test_roundtrip_mincol(sat_cnf, capsys):
     code = main(["roundtrip", "--mincol", str(sat_cnf)])
     out = capsys.readouterr().out

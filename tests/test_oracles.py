@@ -5,7 +5,7 @@ import pytest
 from corpus import random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, random_cograph)
-from reference import greedy_clique_by_scan
+from reference import backtrack_solve, greedy_clique_by_scan
 from twinwidth import (CnfFormula, Coloring, Dialect, chromatic_number,
                        exact_twinwidth, is_k_colorable, is_proper,
                        make_trigraph, nae_satisfies, random_formula, redify,
@@ -275,3 +275,21 @@ def test_solver_dialect_guards():
         solve_sat(nae)
     with pytest.raises(DialectError):
         solve_nae(sat)
+
+
+def test_solvers_match_plain_backtracking():
+    # unit propagation prunes only subtrees without a model, so index-order
+    # DPLL meets its first model where plain backtracking does.  At m = 4n
+    # no NAE formula is satisfiable, so NAE also runs at m = 2n.
+    rng = random.Random(53)
+    models = 0
+    for dialect, ratio in ((Dialect.THREE_SAT, 4), (Dialect.NAE_THREE_SAT, 4),
+                           (Dialect.NAE_THREE_SAT, 2)):
+        solve = solve_nae if dialect is Dialect.NAE_THREE_SAT else solve_sat
+        for _ in range(24):
+            n = rng.randint(16, 20)
+            f = random_formula(n, ratio * n, dialect, rng)
+            model = solve(f)
+            assert model == backtrack_solve(f)
+            models += model is not None
+    assert models >= 12
