@@ -11,6 +11,7 @@ default oracle node budget where --budget is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -115,6 +116,8 @@ def _cmd_reduce(args) -> RunReport:
 
 
 def _cmd_verify_sequence(args) -> RunReport:
+    if args.max_width < 0:
+        raise ParseError(f"--max-width must not be negative, got {args.max_width}")
     report = RunReport(f"verify-sequence {args.graph} {args.sequence}")
     g = formats.read_trigraph(_read(args.graph))
     seq = formats.read_sequence(_read(args.sequence))
@@ -219,7 +222,9 @@ def _cmd_roundtrip(args) -> RunReport:
     return report
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args gives each call a fresh Namespace."""
     parser = argparse.ArgumentParser(prog="twinwidth")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -168,6 +168,27 @@ class ContractionState:
         new.merge(a, b)
         return new
 
+    def merged_width(self, a: int, b: int) -> int:
+        """merged(a, b).max_red_degree() for live a != b, without building the copy."""
+        black, red, count = self.black_adj, self.red_adj, self.red_count
+        reds = (red[a] | red[b] | (black[a] ^ black[b])) - {a, b}
+        width, old = len(reds), [len(red[a]), len(red[b])]
+        for q in reds:
+            red_q = red[q]
+            old.append(len(red_q))
+            width = max(width, len(red_q) + 1 - (a in red_q) - (b in red_q))
+        # Every other part keeps its degree: the histogram less a, b and reds.
+        top = self.top
+        if top <= width:
+            return width
+        for d in old:
+            count[d] -= 1
+        while top and not count[top]:
+            top -= 1
+        for d in old:
+            count[d] += 1
+        return max(width, top)
+
     def red_degree(self, p: int) -> int:
         return len(self.red_adj[p])
 

@@ -300,7 +300,7 @@ def _greedy_merge_sequence(g: Trigraph) -> tuple[int, PartitionSequence]:
     merges = []
     while len(state.live) > 1:
         a, b = min(combinations(sorted(state.live), 2),
-                   key=lambda pair: state.merged(*pair).max_red_degree())
+                   key=lambda pair: state.merged_width(*pair))
         state.merge(a, b)
         merges.append((a, b))
         width = max(width, state.max_red_degree())
@@ -313,7 +313,7 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
 
     Iterative deepening on the width bound; each level runs a DFS over
     contraction states, memoizing failed partitions by each vertex's
-    part representative.  Intended for n <= 10.
+    part representative.  Intended for graphs of about a dozen vertices.
     """
     n = g.n
     if n <= 1:
@@ -335,9 +335,8 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
                 f"twin-width search exceeded {budget} expansions",
                 lower=d, upper=upper)
         for a, b in combinations(sorted(state.live), 2):
-            trial = state.merged(a, b)
-            if trial.max_red_degree() <= d:
-                rest = dfs(trial, tuple(a if r == b else r for r in rep), d, failed)
+            if state.merged_width(a, b) <= d:
+                rest = dfs(state.merged(a, b), tuple(a if r == b else r for r in rep), d, failed)
                 if rest is not None:
                     return [(a, b)] + rest
         failed.add(rep)

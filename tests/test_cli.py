@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -262,6 +265,9 @@ def test_usage_errors(tmp_path, capsys):
     huge_seq = tmp_path / "huge.seq"
     huge_seq.write_text("seq 1000000000000 0\n")
     one_error(["verify-sequence", str(p4), str(huge_seq), "--max-width", "1"])
+    p4_seq = tmp_path / "p4.seq"
+    p4_seq.write_text("seq 4 3\nm 1 2\nm 1 3\nm 1 4\n")
+    one_error(["verify-sequence", str(p4), str(p4_seq), "--max-width", "-1"])
     no_vars = tmp_path / "no_vars.cnf"
     no_vars.write_text("p cnf -1 0\n")
     one_error(["sat", str(no_vars)])
@@ -286,6 +292,50 @@ def test_report_reproducible_modulo_wall_time(sat_cnf, capsys):
     second = capsys.readouterr().out
     strip = lambda text: [l for l in text.splitlines() if not l.startswith("wall_time")]
     assert strip(first) == strip(second)
+
+
+def test_main_runs_many_commands_in_one_process(tmp_path, monkeypatch, capsys):
+    """main keeps nothing from one call to the next: each report, minus its
+    wall_time line, equals the report of the same command in a fresh process."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TWINWIDTH_BUDGET", raising=False)
+    (tmp_path / "nae.cnf").write_text(DEMO_NAE)
+    (tmp_path / "c5.tgf").write_text("tgf 5 5 0\nb 1 2\nb 2 3\nb 3 4\nb 4 5\nb 1 5\n")
+    env = {key: value for key, value in os.environ.items() if key != "TWINWIDTH_BUDGET"}
+    env["PYTHONPATH"] = str(Path(twinwidth.cli.__file__).parents[1])
+    strip = lambda text: [l for l in text.splitlines() if not l.startswith("wall_time")]
+
+    def in_process(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, strip(out), err
+
+    def alone(argv):
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from twinwidth.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv], capture_output=True, text=True, env=env, check=False)
+        return run.returncode, strip(run.stdout), run.stderr
+
+    sequences = [
+        (["reduce", "3col", "nae.cnf", "--k", "5"], ["reduce", "3col", "nae.cnf"]),
+        (["chromatic", "c5.tgf", "--budget", "0"], ["chromatic", "c5.tgf"]),
+        (["reduce", "3col", "--k", "5"], ["reduce", "3col", "nae.cnf"]),  # no cnf: usage error
+    ]
+    reports = []
+    for argv_seq in sequences:
+        for argv in argv_seq:
+            report = in_process(argv)
+            assert report == alone(argv)
+            reports.append(report)
+    (_, k5, _), (_, k3, _), (_, skip, _), (_, chi, _) = reports[:4]
+    assert "k: 5" in k5 and not any(line.startswith("k:") for line in k3)
+    assert any(line.startswith("SKIP: budget exceeded") for line in skip)
+    assert "chromatic_number: 3" in chi
+    assert [code for code, _, _ in reports[4:]] == [2, 0]
+    assert "required: cnf" in reports[4][2]
 
 
 _VERIFY = """\

@@ -133,6 +133,29 @@ def test_incremental_matches_definition_on_random_graphs():
             assert state.pair_colors() == expect
 
 
+def test_merged_width_matches_the_merged_copy():
+    """For every live pair along random scripts, merged_width is the copy's
+    width, and scoring a pair leaves the receiver as it was."""
+    rng = random.Random(314)
+    checks = 0
+    for _ in range(80):
+        n = rng.randint(2, 12)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        black = [e for e in pairs if rng.random() < 0.4]
+        red = [e for e in pairs if e not in black and rng.random() < 0.2]
+        state = ContractionState(make_trigraph(n, black, red))
+        for a, b in _random_full_merges(n, rng):
+            colors, count = state.pair_colors(), state.red_count.copy()
+            live = sorted(state.live)
+            for i, p in enumerate(live):
+                for q in live[i + 1:]:
+                    assert state.merged_width(p, q) == state.merged(p, q).max_red_degree()
+                    checks += 1
+            assert (state.pair_colors(), state.red_count) == (colors, count)
+            state.merge(a, b)
+    assert checks > 5000
+
+
 def test_width_monotone_under_redify():
     rng = random.Random(13)
     for g in list(all_graphs(4)):

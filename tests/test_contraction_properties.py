@@ -3,6 +3,8 @@
 Runs when the optional test extra (hypothesis) is installed.
 """
 
+from itertools import combinations
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -53,3 +55,16 @@ def test_every_prefix_matches_quotient(case):
             assert all(p in state.black_adj[q] for q in black)
             assert all(p in state.red_adj[q] for q in red)
         assert state.max_red_degree() == max_red_degree(by_def)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trigraph_and_merges())
+def test_merged_width_matches_the_merged_copy(case):
+    g, merges = case
+    state = ContractionState(g)
+    for a, b in merges:
+        colors, count = state.pair_colors(), state.red_count.copy()
+        for p, q in combinations(sorted(state.live), 2):
+            assert state.merged_width(p, q) == state.merged(p, q).max_red_degree()
+        assert (state.pair_colors(), state.red_count) == (colors, count)
+        state.merge(a, b)

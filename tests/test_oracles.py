@@ -200,6 +200,64 @@ def test_exact_twinwidth_budget():
     assert [(s.a, s.b) for s in seq.steps] == [(0, 1), (0, 2), (0, 3), (4, 6), (0, 4), (0, 5)]
 
 
+def _gnp(n, p, seed):
+    rng = random.Random(seed)
+    return make_trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+def _pinned_twinwidth_graphs():
+    graphs = {f"path-{n}": make_trigraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (5, 8, 11)}
+    graphs.update((f"cycle-{n}", make_trigraph(n, [(i, (i + 1) % n) for i in range(n)]))
+                  for n in (6, 9, 11))
+    graphs.update((f"cograph-{seed}", random_cograph(n, random.Random(seed)))
+                  for seed, n in ((1, 7), (2, 10)))
+    graphs.update((f"gnp-{n}-{p}-{seed}", _gnp(n, p, seed)) for seed, (n, p) in enumerate(
+        [(7, .5), (8, .3), (9, .5), (10, .3), (10, .5), (11, .3), (11, .5)]))
+    graphs["red"] = make_trigraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 4)],
+                                  [(0, 3), (2, 5), (1, 6)])
+    return graphs
+
+
+# name: (width, witness steps, smallest budget that decides); pinned so
+# that any change to the search order or its pruning shows here
+TWINWIDTH_PINS = {
+    "path-5": (1, [(0, 1), (0, 2), (0, 3), (0, 4)], 1),
+    "path-8": (1, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)], 1),
+    "path-11": (1, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
+                    (0, 10)], 1),
+    "cycle-6": (2, [(0, 1), (0, 2), (3, 5), (0, 3), (0, 4)], 2),
+    "cycle-9": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 8), (0, 6), (0, 7)], 2),
+    "cycle-11": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (8, 10), (0, 8),
+                     (0, 9)], 2),
+    "cograph-1": (0, [(0, 1), (2, 3), (2, 4), (2, 5), (2, 6), (0, 2)], 0),
+    "cograph-2": (0, [(1, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (1, 3), (0, 1)], 0),
+    "gnp-7-0.5-0": (1, [(0, 1), (0, 3), (0, 2), (0, 4), (0, 5), (0, 6)], 1),
+    "gnp-8-0.3-1": (2, [(0, 1), (2, 6), (2, 5), (0, 3), (0, 2), (0, 4), (0, 7)], 11),
+    "gnp-9-0.5-2": (2, [(0, 4), (1, 5), (0, 7), (1, 3), (0, 2), (1, 6), (0, 1), (0, 8)], 5),
+    "gnp-10-0.3-3": (2, [(3, 4), (6, 7), (0, 2), (0, 6), (0, 1), (8, 9), (0, 3), (0, 5), (0, 8)], 9),
+    "gnp-10-0.5-4": (2, [(0, 5), (2, 4), (0, 2), (3, 8), (0, 1), (3, 7), (0, 9), (0, 3), (0, 6)], 31),
+    "gnp-11-0.3-5": (2, [(0, 4), (0, 6), (2, 5), (3, 9), (3, 8), (1, 2), (3, 7), (0, 1), (0, 3),
+                         (0, 10)], 4),
+    "gnp-11-0.5-6": (3, [(0, 4), (3, 7), (0, 6), (2, 8), (0, 2), (0, 1), (0, 3), (5, 9), (0, 5),
+                         (0, 10)], 55),
+    "red": (2, [(2, 4), (1, 3), (0, 1), (0, 2), (0, 5), (0, 6)], 2),
+}
+
+
+def test_exact_twinwidth_pinned_witnesses_and_budgets():
+    graphs = _pinned_twinwidth_graphs()
+    assert graphs.keys() == TWINWIDTH_PINS.keys()
+    for name, g in graphs.items():
+        width, steps, budget = TWINWIDTH_PINS[name]
+        found, seq = exact_twinwidth(g)
+        assert (found, [(s.a, s.b) for s in seq.steps]) == (width, steps), name
+        assert verify_d_sequence(g, seq, width)[0]
+        assert exact_twinwidth(g, budget=budget) == (found, seq), name
+        if budget:
+            with pytest.raises(BudgetExceeded):
+                exact_twinwidth(g, budget=budget - 1)
+
+
 def test_exact_twinwidth_cographs():
     rng = random.Random(17)
     for _ in range(25):
