@@ -282,9 +282,6 @@ def main(argv=None) -> int:
     except (OSError, TwinwidthError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RecursionError:
-        sys.stderr.write("error: search too deep for the Python recursion limit\n")
-        return 2
     report.add("wall_time_s", f"{time.perf_counter() - started:.3f}")
     sys.stdout.write(report.render())
     return 0 if report.ok else 1

@@ -191,6 +191,8 @@ def parse_dimacs_cnf(text: str, dialect: Dialect = Dialect.THREE_SAT) -> CnfForm
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if n_vars is not None:
+                raise ParseError(f"second problem line: {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"malformed problem line: {line!r}")

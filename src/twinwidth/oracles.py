@@ -11,7 +11,7 @@ Budgets count node expansions, never wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 from .cnf import Assignment, CnfFormula, Dialect
 from .contraction import ContractionState, PartitionSequence, sequence_from_vertex_merges
@@ -42,6 +42,16 @@ def is_proper(g: Trigraph, col: Coloring) -> bool:
         raise UncoloredError(f"coloring has {len(col.colors)} entries, graph has {g.n} vertices")
     colors = col.colors
     return all(colors[u] != colors[v] for u, nbrs in enumerate(g.black_adj) for v in nbrs)
+
+
+def _meter(budget: int | None, search: str):
+    """A spend() that counts one expansion and raises BudgetExceeded past the budget."""
+    spent = count(1)
+
+    def spend(lower: int | None = None, upper: int | None = None) -> None:
+        if budget is not None and next(spent) > budget:
+            raise BudgetExceeded(f"{search} search exceeded {budget} expansions", lower, upper)
+    return spend
 
 
 def _base_order(g: Trigraph) -> list[int]:
@@ -81,7 +91,8 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
                    ) -> tuple[bool, Coloring | None]:
     """Exact k-colorability with a witness coloring on success.
 
-    Backtracking with conflict-directed backjumping.  A greedy maximum
+    Backtracking with conflict-directed backjumping, on an explicit stack
+    of colored levels, as is the k-clique enumeration.  A greedy maximum
     clique is colored 1, 2, ... first, at level -1 (with more than k
     members it rules k colors out); a new color may then only be max
     used + 1.  Selection: highest saturation (distinct colors on colored
@@ -112,17 +123,10 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
     saturation = [0] * n
     # contributor[v][bit]: level whose assignment forbade that color on v
     contributor: list[dict[int, int]] = [dict() for _ in range(n)]
-    introducer = [-1] * (k + 1)  # level that first used each color
+    introducer = [-1] * (k + 1)  # level that first used each color; read while it is open
     forced = k - 1
-    expansions = 0
-    remaining = n
     full = (1 << k) - 1
-
-    def spend() -> None:
-        nonlocal expansions
-        expansions += 1
-        if budget is not None and expansions > budget:
-            raise BudgetExceeded(f"coloring search exceeded {budget} expansions")
+    spend = _meter(budget, "coloring")
 
     # the first n k-cliques met within n*k enumeration nodes, ids ascending;
     # any subset keeps the Hall check sound, and the caps bound its time
@@ -130,28 +134,31 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
     # members of clique q that hold color c or could still take it
     cliques: list[list[int]] = []
     member_of: list[list[int]] = [[] for _ in range(n)]
-    nodes = n * k
-
-    def extend(members: list[int], cand: list[int]) -> None:
-        """cand: the common neighbors of members above their largest id, ascending."""
-        nonlocal nodes
-        nodes -= 1
-        need = k - len(members) - 1  # candidates a child must keep
-        if need < 0:
-            for v in members:
-                member_of[v].append(len(cliques))
-            cliques.append(members)
-            return
-        for i, u in enumerate(cand):
-            if nodes <= 0 or len(cliques) == n:
-                return
-            later = cand[i + 1:] if members else adj[u]  # the root's cand is every vertex
+    nodes = n * k - 1
+    members: list[int] = []  # of the deepest open node
+    # per open node: the common neighbors of its members above their largest
+    # id, ascending, and an enumerate of them that resumes where it stopped
+    nest = [(range(n), enumerate(range(n)))]
+    while nest and nodes > 0 and len(cliques) < n:
+        cand, tries = nest[-1]
+        for i, u in tries:
             nbrs = g.black_adj[u]
-            rest = [w for w in later if w > u and w in nbrs]
-            if len(rest) >= need:
-                extend(members + [u], rest)
-
-    extend([], list(range(n)))
+            # cand ascends, so all after u is above it; the root's cand is every vertex
+            rest = [w for w in cand[i + 1:] if w in nbrs] if members else [w for w in adj[u] if w > u]
+            if len(rest) >= k - len(members) - 1:
+                nodes -= 1
+                members.append(u)
+                if len(members) == k:
+                    for v in members:
+                        member_of[v].append(len(cliques))
+                    cliques.append(members[:])
+                    rest = []
+                nest.append((rest, enumerate(rest)))
+                break
+        else:
+            nest.pop()
+            if members:  # the root has none
+                members.pop()
     support = [[k] * (k + 1) for _ in cliques]
     singles: list[tuple[int, int]] = []  # (vertex, bit): sole supporter of a color
 
@@ -196,77 +203,70 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
                         break
         return touched, lost, dead
 
-    def rec(depth: int, max_used: int):
-        """True on success, else (jump level, culprits)."""
-        nonlocal remaining
-        if remaining == 0:
-            return True
-        v, first = -1, 0
-        for u, b in reversed(singles):
-            if not colors[u]:
-                v, first = u, b
-                break
-        if v < 0:
-            best = -1
-            for u in order:
-                if not colors[u] and saturation[u] > best:
-                    best = saturation[u]
-                    v = u
-                    if best >= forced:
-                        break
-        mask = (1 << (max_used + 1 if max_used < k else k)) - 1
-        allowed = ~forbidden[v] & mask
-        first &= allowed
-        conflict = blame(v, mask)
-        if mask != full:
-            # colors above max_used+1 were cut by symmetry, not by a
-            # neighbor; the cut is owned by the deepest color introducer
-            conflict.add(introducer[max_used])
-        remaining -= 1
-        while allowed:
-            bit = first or allowed & -allowed
-            first = 0
-            allowed ^= bit
-            spend()
-            color = bit.bit_length()
-            if color > max_used:
-                introducer[color] = depth
-            mark = len(singles)
-            touched, lost, dead = place(v, bit, depth)
-            if dead is not None:
-                jump, culprits = depth, dead
-            else:
-                result = rec(depth + 1, max_used if color <= max_used else color)
-                if result is True:
-                    return True
-                jump, culprits = result
+    for i, v in enumerate(clique):
+        spend()
+        if place(v, 1 << i, -1)[2] is not None:
+            return False, None
+    # per colored level: vertex, colors left, conflict, max used before it, undo record
+    stack: list[tuple] = []
+    max_used = len(clique)
+    result = None  # (jump level, culprits) from the level just closed
+    while True:
+        if result is None:  # open the next level
+            depth = len(stack)
+            if depth == n - len(clique):
+                return True, Coloring(tuple(colors), k)
+            v, first = -1, 0
+            for u, b in reversed(singles):
+                if not colors[u]:
+                    v, first = u, b
+                    break
+            if v < 0:
+                best = -1
+                for u in order:
+                    if not colors[u] and saturation[u] > best:
+                        best = saturation[u]
+                        v = u
+                        if best >= forced:
+                            break
+            mask = (1 << (max_used + 1 if max_used < k else k)) - 1
+            allowed = ~forbidden[v] & mask
+            first &= allowed
+            conflict = blame(v, mask)
+            if mask != full:
+                # colors above max_used+1 were cut by symmetry, not by a
+                # neighbor; the cut is owned by the deepest color introducer
+                conflict.add(introducer[max_used])
+        elif not stack:
+            return False, None
+        else:  # take back the deepest level's color
+            v, allowed, conflict, max_used, bit, mark, touched, lost = stack.pop()
+            depth = len(stack)
             for u in touched:
                 forbidden[u] ^= bit
                 saturation[u] -= 1
             for q, c in lost:
                 support[q][c] += 1
             del singles[mark:]
-            if color > max_used:
-                introducer[color] = -1
-            if jump < depth:
-                break
-            conflict |= culprits
-            conflict.discard(depth)
-        else:
-            jump = max(conflict, default=-1)
-            culprits = conflict
-        colors[v] = 0
-        remaining += 1
-        return jump, culprits
-
-    for i, v in enumerate(clique):
+            if result[0] >= depth:  # no jump past this level: try its next color
+                conflict |= result[1]
+                conflict.discard(depth)
+                result = None
+        if result or not allowed:  # jump on, or every color of this level failed
+            colors[v] = 0
+            result = result or (max(conflict, default=-1), conflict)
+            continue
+        bit = first or allowed & -allowed
+        first = 0
+        allowed ^= bit
         spend()
-        remaining -= 1
-        if place(v, 1 << i, -1)[2] is not None:
-            return False, None
-    if rec(0, len(clique)) is True:
-        return True, Coloring(tuple(colors), k)
-    return False, None
+        mark = len(singles)
+        touched, lost, dead = place(v, bit, depth)
+        stack.append((v, allowed, conflict, max_used, bit, mark, touched, lost))
+        result = None if dead is None else (depth, dead)
+        if bit.bit_length() > max_used:  # a new color, owned by this level
+            max_used = bit.bit_length()
+            introducer[max_used] = depth
 
 
 def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Coloring]:
@@ -311,41 +311,37 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
                     ) -> tuple[int, PartitionSequence]:
     """Exact twin-width with an optimal witness sequence.
 
-    Iterative deepening on the width bound; each level runs a DFS over
-    contraction states, memoizing failed partitions by each vertex's
-    part representative.  Intended for graphs of about a dozen vertices.
+    Iterative deepening on the width bound; each level runs a DFS on an
+    explicit stack over contraction states, memoizing failed partitions
+    by each vertex's part representative.  Meant for about a dozen vertices.
     """
     n = g.n
     if n <= 1:
         return 0, PartitionSequence(n, ())
     upper, upper_seq = _greedy_merge_sequence(g)
     root = ContractionState(g)
-    lower = root.max_red_degree()
-    expansions = [0]
-
-    def dfs(state: ContractionState, rep: tuple[int, ...], d: int,
-            failed: set[tuple[int, ...]]) -> list[tuple[int, int]] | None:
-        if len(state.live) == 1:
-            return []
-        if rep in failed:
-            return None
-        expansions[0] += 1
-        if budget is not None and expansions[0] > budget:
-            raise BudgetExceeded(
-                f"twin-width search exceeded {budget} expansions",
-                lower=d, upper=upper)
-        for a, b in combinations(sorted(state.live), 2):
-            if state.merged_width(a, b) <= d:
-                rest = dfs(state.merged(a, b), tuple(a if r == b else r for r in rep), d, failed)
-                if rest is not None:
-                    return [(a, b)] + rest
-        failed.add(rep)
-        return None
-
-    for d in range(lower, upper):
-        merges = dfs(root, tuple(range(n)), d, set())
-        if merges is not None:
-            return d, sequence_from_vertex_merges(n, merges)
+    spend = _meter(budget, "twin-width")
+    for d in range(root.max_red_degree(), upper):
+        failed: set[tuple[int, ...]] = set()  # reps of states that no merge order finishes
+        spend(d, upper)
+        # per open state: the merge into it, its rep, and the pairs it has left to try
+        stack = [((), root, tuple(range(n)), combinations(sorted(root.live), 2))]
+        while stack:
+            _, state, rep, pairs = stack[-1]
+            for a, b in pairs:
+                if state.merged_width(a, b) <= d:
+                    child = state.merged(a, b)
+                    if len(child.live) == 1:
+                        merges = [frame[0] for frame in stack[1:]] + [(a, b)]
+                        return d, sequence_from_vertex_merges(n, merges)
+                    child_rep = tuple(a if r == b else r for r in rep)
+                    if child_rep not in failed:
+                        spend(d, upper)
+                        stack.append(((a, b), child, child_rep, combinations(sorted(child.live), 2)))
+                        break
+            else:
+                failed.add(rep)
+                stack.pop()
     return upper, upper_seq
 
 

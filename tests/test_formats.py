@@ -158,6 +158,10 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("p cnf 3 1\n1 2 3\n")  # missing terminator
     with pytest.raises(ParseError):
         parse_dimacs_cnf("p cnf 2 1\n1 2 9 0\n")  # literal out of range
+    with pytest.raises(ParseError, match="second problem line: 'p cnf 3 1'"):
+        parse_dimacs_cnf("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
+    with pytest.raises(ParseError, match="second problem line: 'p cnf 3 2'"):
+        parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\np cnf 3 2\n")
     with pytest.raises(UnusedVariableError):
         parse_dimacs_cnf("p cnf 4 1\n1 2 3 0\n")
 

@@ -1,4 +1,7 @@
+import ast
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ from corpus import random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, random_cograph)
 from reference import backtrack_solve, greedy_clique_by_scan
+import twinwidth
 from twinwidth import (CnfFormula, Coloring, Dialect, chromatic_number,
                        exact_twinwidth, is_k_colorable, is_proper,
                        make_trigraph, nae_satisfies, random_formula, redify,
@@ -256,6 +260,106 @@ def test_exact_twinwidth_pinned_witnesses_and_budgets():
         if budget:
             with pytest.raises(BudgetExceeded):
                 exact_twinwidth(g, budget=budget - 1)
+
+
+def _pinned_coloring_graphs(mincol_demo, threecol_demo):
+    """name: (graph, k)."""
+    petersen = make_trigraph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    # Groetzsch: the Mycielskian of C5, triangle-free with chromatic number 4
+    groetzsch = make_trigraph(11, [(i, (i + 1) % 5) for i in range(5)]
+                              + [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
+                              + [(10, 5 + i) for i in range(5)])
+    # W6: a hub joined to every vertex of C5
+    wheel = make_trigraph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
+    return {
+        "C5": (C5, 2), "C7": (make_trigraph(7, [(i, (i + 1) % 7) for i in range(7)]), 3),
+        "petersen": (petersen, 3), "groetzsch": (groetzsch, 3), "W6": (wheel, 4), "K4": (K4, 4),
+        "mincol-demo-5": (mincol_demo.graph, 5), "mincol-demo-6": (mincol_demo.graph, 6),
+        "threecol-demo-3": (threecol_demo.graph, 3),
+        "gnp-24-0.5-24": (_gnp(24, .5, 24), 6), "gnp-28-0.6-22": (_gnp(28, .6, 22), 8),
+        "gnp-30-0.4-25": (_gnp(30, .4, 25), 6),
+        "gnp-30-0.7-28": (_gnp(30, .7, 28), 9),  # the n*k enumeration cap binds
+    }
+
+
+# name: (k-colorable, witness colors as digits, smallest budget that decides
+# k, chromatic number, smallest budget that decides it, the bounds of the
+# BudgetExceeded one below that); pinned so that any change to the search
+# order, its pruning or its clique enumeration shows here
+COLORING_PINS = {
+    "C5": (False, None, 4, 3, 4, (2, 3)),
+    "C7": (True, "1212123", 7, 3, 6, (2, 3)),
+    "petersen": (True, "1212321332", 10, 3, 4, (2, 3)),
+    "groetzsch": (False, None, 26, 4, 26, (3, 4)),
+    "W6": (True, "232341", 6, 4, 5, (3, 4)),
+    "K4": (True, "1234", 4, 4, 0, None),
+    "mincol-demo-5": (False, None, 0, 6, 104, (6, 8)),
+    "mincol-demo-6": (True, "5623415623415623415623415623415623415623415623415623"
+                            "4156234156234156234156234156234156234156234156234113", 104, 6, 104, (6, 8)),
+    "threecol-demo-3": (True, "32323232332323232322323232323232323232232323232323"
+                              "23232323323232321231321232133121321321231", 91, 3, 91, (3, 4)),
+    "gnp-24-0.5-24": (True, "615462354126123534315413", 47, 6, 47, (6, 7)),
+    "gnp-28-0.6-22": (False, None, 188, 9, 188, (8, 9)),
+    "gnp-30-0.4-25": (True, "641235213254525144163131664535", 178, 6, 178, (6, 7)),
+    "gnp-30-0.7-28": (False, None, 13, 10, 30, (10, 11)),
+}
+
+
+def test_coloring_pinned_witnesses_and_budgets(mincol_demo, threecol_demo):
+    graphs = _pinned_coloring_graphs(mincol_demo, threecol_demo)
+    assert graphs.keys() == COLORING_PINS.keys()
+    for name, (g, k) in graphs.items():
+        verdict, digits, budget, chi, chi_budget, bounds = COLORING_PINS[name]
+        ok, witness = is_k_colorable(g, k)
+        assert (ok, witness and "".join(map(str, witness.colors))) == (verdict, digits), name
+        assert is_k_colorable(g, k, budget) == (ok, witness), name
+        if budget:
+            with pytest.raises(BudgetExceeded):
+                is_k_colorable(g, k, budget - 1)
+        assert chromatic_number(g)[0] == chi, name
+        assert chromatic_number(g, chi_budget) == chromatic_number(g), name
+        if chi_budget:
+            with pytest.raises(BudgetExceeded) as exc:
+                chromatic_number(g, chi_budget - 1)
+            assert (exc.value.lower, exc.value.upper) == bounds, name
+
+
+def _depth():
+    """The caller's call depth, as the interpreter counts it for its recursion limit."""
+    limit, depth = sys.getrecursionlimit(), 1
+    while True:
+        try:  # refused while the depth here is at least the new limit
+            sys.setrecursionlimit(depth)
+            break
+        except RecursionError:
+            depth += 1
+    sys.setrecursionlimit(limit)
+    return depth - 2
+
+
+def test_searches_do_not_recurse():
+    # the loops need 6 calls below this frame; a recursion of one call per
+    # colored vertex, clique member or merge overflows on each input
+    cycle = make_trigraph(301, [(i, (i + 1) % 301) for i in range(301)])
+    clique = make_trigraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
+    graph = _pinned_twinwidth_graphs()["gnp-11-0.5-6"]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 7)
+    try:
+        assert is_k_colorable(cycle, 3)[0]
+        assert is_k_colorable(clique, 40)[0]  # the clique enumeration nests 40 members deep
+        assert exact_twinwidth(graph)[0] == 3
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_no_function_calls_itself():
+    for path in sorted(pathlib.Path(twinwidth.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                calls = {ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+                assert not calls & {fn.name, f"self.{fn.name}"}, f"{path.name}: {fn.name} recurses"
 
 
 def test_exact_twinwidth_cographs():
