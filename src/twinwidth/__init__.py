@@ -19,8 +19,7 @@ from .threecol import (LiftedInstance, ThreeColInstance, build_3col,
                        subdivision_positions,
                        threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment)
-from .trigraph import (Partition, Trigraph, VertexRole, make_trigraph,
-                       max_red_degree, quotient, red_degree, redify)
+from .trigraph import Partition, Trigraph, VertexRole, quotient
 
 __all__ = [
     "Assignment", "CnfFormula", "Dialect", "nae_satisfies", "random_formula",
@@ -33,6 +32,5 @@ __all__ = [
     "solve_sat", "LiftedInstance", "ThreeColInstance", "build_3col",
     "build_3col_4sequence", "lift_to_k", "subdivision_positions",
     "threecol_assignment_from_coloring", "threecol_coloring_from_assignment",
-    "Partition", "Trigraph", "VertexRole", "make_trigraph", "max_red_degree",
-    "quotient", "red_degree", "redify",
+    "Partition", "Trigraph", "VertexRole", "quotient",
 ]

@@ -189,23 +189,12 @@ class ContractionState:
             count[d] += 1
         return max(width, top)
 
-    def red_degree(self, p: int) -> int:
-        return len(self.red_adj[p])
-
     def max_red_degree(self) -> int:
         count, top = self.red_count, self.top
         while top and not count[top]:
             top -= 1
         self.top = top
         return top
-
-    def pair_colors(self) -> dict[tuple[int, int], str]:
-        """Current quotient edges keyed by representative pair, as 'black'/'red'."""
-        out = {}
-        for p in self.live:
-            out.update(((p, q), "black") for q in self.black_adj[p] if p < q)
-            out.update(((p, q), "red") for q in self.red_adj[p] if p < q)
-        return out
 
 
 def replay(g: Trigraph, seq: PartitionSequence) -> WidthProfile:

@@ -100,6 +100,3 @@ class StructureError(TwinwidthError):
 
 class KRangeError(TwinwidthError):
     """Lifting to k colors requires 3 <= k <= threecol.MAX_K."""
-
-
-KTooSmallError = KRangeError  # the older name, still importable by callers

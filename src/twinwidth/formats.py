@@ -194,7 +194,7 @@ def parse_dimacs_cnf(text: str, dialect: Dialect = Dialect.THREE_SAT) -> CnfForm
             if n_vars is not None:
                 raise ParseError(f"second problem line: {line!r}")
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise ParseError(f"malformed problem line: {line!r}")
             try:
                 n_vars, n_clauses = int(parts[2]), int(parts[3])

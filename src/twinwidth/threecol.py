@@ -71,7 +71,7 @@ class ThreeColInstance:
         return self.subdiv_index[(i, j)]
 
     def triangle(self, j: int, slot: str) -> int:
-        base = sum(len(order) for order in self.path_orders)
+        base = len(self.path_index) + len(self.subdiv_index)
         return base + 3 * (j - 1) + _SLOTS.index(slot)
 
     @property

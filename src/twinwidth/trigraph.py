@@ -102,9 +102,6 @@ class Trigraph:
         return f"Trigraph(n={self.n}, black={edge_count(self.black_adj)}, red={edge_count(self.red_adj)})"
 
 
-make_trigraph = Trigraph  # the validated constructor; repeated edges in one list collapse
-
-
 class Partition:
     """Disjoint nonempty vertex sets covering 0..n-1, in a fixed order."""
 
@@ -124,25 +121,6 @@ class Partition:
         if any(idx == -1 for idx in part_of):
             missing = [v for v, idx in enumerate(part_of) if idx == -1]
             raise PartitionError(f"vertices not covered: {missing}")
-
-    @classmethod
-    def singletons(cls, n: int) -> "Partition":
-        return cls(n, [[v] for v in range(n)])
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
-def red_degree(g: Trigraph, v: int) -> int:
-    """Number of red edges incident to v."""
-    if not 0 <= v < g.n:
-        raise RangeError(f"vertex {v} out of range for n={g.n}")
-    return len(g.red_adj[v])
-
-
-def max_red_degree(g: Trigraph) -> int:
-    """Maximum red degree over all vertices; 0 for an edgeless or fully black trigraph."""
-    return max((len(a) for a in g.red_adj), default=0)
 
 
 def quotient(g: Trigraph, p: Partition) -> Trigraph:
@@ -167,7 +145,3 @@ def quotient(g: Trigraph, p: Partition) -> Trigraph:
             black_pairs.append((i, j))
     return Trigraph(len(p.parts), black_pairs, red_pairs)
 
-
-def redify(g: Trigraph) -> Trigraph:
-    """Reclassify every black edge as red (cannot decrease twin-width)."""
-    return Trigraph(g.n, (), g.black | g.red, g.labels)

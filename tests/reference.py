@@ -3,12 +3,33 @@
 Everything here is deliberately written from the definitions, in a
 different style from the package (flag scans instead of counters, raw
 enumeration instead of branch and bound), so agreement is meaningful.
+The first three functions are not references but small helpers that only
+tests call.
 """
 
 import itertools
 
-from twinwidth import Partition, make_trigraph, quotient
+from twinwidth import Partition, Trigraph, quotient
 from twinwidth.cnf import Dialect, literal_value
+
+
+def max_red_degree(g):
+    """The largest red degree of a trigraph, read from its red neighbor sets."""
+    return max(map(len, g.red_adj), default=0)
+
+
+def redify(g):
+    """Reclassify every black edge as red (cannot decrease twin-width)."""
+    return Trigraph(g.n, (), g.black | g.red, g.labels)
+
+
+def pair_colors(state):
+    """A ContractionState's quotient edges keyed by representative pair, as 'black'/'red'."""
+    out = {}
+    for p in state.live:
+        out.update(((p, q), "black") for q in state.black_adj[p] if p < q)
+        out.update(((p, q), "red") for q in state.red_adj[p] if p < q)
+    return out
 
 
 def quotient_by_definition(g, parts):
@@ -76,7 +97,6 @@ def greedy_clique_by_scan(g):
 
 def brute_twinwidth(g):
     """Plain recursion over every merge order, bounded by best-so-far."""
-    from twinwidth import max_red_degree
 
     def best_from(parts, cap):
         if len(parts) == 1:
@@ -158,7 +178,7 @@ def all_graphs(n):
     """Every labeled plain graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        yield make_trigraph(n, [e for t, e in enumerate(pairs) if bits >> t & 1])
+        yield Trigraph(n, [e for t, e in enumerate(pairs) if bits >> t & 1])
 
 
 def all_partitions(n, max_parts=None):
@@ -182,7 +202,7 @@ def all_partitions(n, max_parts=None):
 def random_cograph(n, rng):
     """A cograph built from a random cotree over n leaves."""
     if n == 1:
-        return make_trigraph(1)
+        return Trigraph(1)
     split = rng.randint(1, n - 1)
     left = random_cograph(split, rng)
     right = random_cograph(n - split, rng)
@@ -190,4 +210,4 @@ def random_cograph(n, rng):
     edges.extend((u + left.n, v + left.n) for u, v in right.black)
     if rng.random() < 0.5:  # join
         edges.extend((u, v + left.n) for u in range(left.n) for v in range(right.n))
-    return make_trigraph(n, edges)
+    return Trigraph(n, edges)

@@ -15,14 +15,14 @@ import pytest
 
 from corpus import (exhaustive_threesat_corpus, random_nae_corpus,
                     random_threesat_corpus, structured_nae_corpus)
-from reference import random_cograph
-from twinwidth import (ContractionState, Dialect, Partition,
+from reference import pair_colors, random_cograph, redify
+from twinwidth import (ContractionState, Dialect, Partition, Trigraph,
                        build_3col, build_3col_4sequence, build_mincol,
                        build_mincol_3sequence, chromatic_number,
                        exact_twinwidth, is_k_colorable, is_proper, lift_to_k,
-                       make_trigraph, mincol_assignment_from_coloring,
+                       mincol_assignment_from_coloring,
                        mincol_coloring_from_assignment, quotient,
-                       random_formula, redify, satisfies, solve_nae,
+                       random_formula, satisfies, solve_nae,
                        solve_sat, threecol_coloring_from_assignment,
                        verify_d_sequence)
 from conftest import NAE_DEMO_SUBDIVISIONS
@@ -103,7 +103,7 @@ def test_acceptance_01_quotient_oracle_equivalence():
         pairs = list(itertools.combinations(range(5), 2))
         checked = 0
         for bits in range(1 << 10):
-            g = make_trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
+            g = Trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
             for s in range(50):
                 rng = random.Random(bits * 997 + s)
                 state = ContractionState(g)
@@ -121,7 +121,7 @@ def test_acceptance_01_quotient_oracle_equivalence():
                         expect[(ordered[i], ordered[j])] = "black"
                     for i, j in q.red:
                         expect[(ordered[i], ordered[j])] = "red"
-                    assert state.pair_colors() == expect
+                    assert pair_colors(state) == expect
                     checked += 1
         elapsed = time.perf_counter() - started
         assert elapsed < 120
@@ -253,21 +253,21 @@ def test_acceptance_10_universal_lift(nae_corpus):
 def test_acceptance_11_exact_twinwidth_sanity():
     with criterion(11, "exact twin-width ground truth") as info:
         rng = random.Random(20_240_505)
-        k4 = make_trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        k22 = make_trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        cographs = [k4, k22, make_trigraph(6), make_trigraph(1)]
+        k4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        k22 = Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        cographs = [k4, k22, Trigraph(6), Trigraph(1)]
         cographs += [random_cograph(rng.randint(2, 8), rng) for _ in range(24)]
         for g in cographs:
             width, seq = exact_twinwidth(g, budget=TWW_BUDGET)
             assert width == 0
             assert verify_d_sequence(g, seq, width)[0]
-        p4 = make_trigraph(4, [(0, 1), (1, 2), (2, 3)])
+        p4 = Trigraph(4, [(0, 1), (1, 2), (2, 3)])
         width, seq = exact_twinwidth(p4, budget=TWW_BUDGET)
         assert width == 1 and verify_d_sequence(p4, seq, 1)[0]
 
         pairs = list(itertools.combinations(range(5), 2))
         for bits in range(1 << 10):
-            g = make_trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
+            g = Trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
             wg, seq_g = exact_twinwidth(g, budget=TWW_BUDGET)
             wr, seq_r = exact_twinwidth(redify(g), budget=TWW_BUDGET)
             assert wr >= wg

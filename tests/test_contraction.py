@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from reference import all_graphs, quotient_by_definition
+from reference import (all_graphs, max_red_degree, pair_colors,
+                       quotient_by_definition, redify)
 from twinwidth import (ContractionState, MergeStep, PartitionSequence,
-                       make_trigraph, redify, replay,
-                       sequence_from_vertex_merges, verify_d_sequence)
-from twinwidth import Partition, WidthProfile, max_red_degree, quotient
+                       Trigraph, replay, sequence_from_vertex_merges,
+                       verify_d_sequence)
+from twinwidth import Partition, WidthProfile, quotient
 from twinwidth import exact_twinwidth
 from twinwidth.errors import PartialSequenceError, SequenceError
 
@@ -31,41 +32,43 @@ def test_merge_script_rejects_same_part():
 def test_empty_script_is_partial():
     seq = sequence_from_vertex_merges(2, [])
     assert not seq.is_full
-    g = make_trigraph(2, [], [(0, 1)])
+    g = Trigraph(2, [], [(0, 1)])
     profile = replay(g, seq)
     assert profile.per_step_width == ()
     assert profile.overall_width == 1  # the base trigraph's own width counts
     empty = sequence_from_vertex_merges(0, [])  # no vertices: 0 steps are full
     assert empty.is_full
-    assert verify_d_sequence(make_trigraph(0), empty, 0) == (True, WidthProfile(0, (), 0))
+    assert verify_d_sequence(Trigraph(0), empty, 0) == (True, WidthProfile(0, (), 0))
 
 
 def test_replay_twins():
-    g = make_trigraph(2, [(0, 1)])
+    g = Trigraph(2, [(0, 1)])
     profile = replay(g, sequence_from_vertex_merges(2, [(0, 1)]))
     assert profile.per_step_width == (0,)
     assert profile.overall_width == 0
 
 
 def test_replay_p4_middle_merge():
-    g = make_trigraph(4, [(0, 1), (1, 2), (2, 3)])
+    g = Trigraph(4, [(0, 1), (1, 2), (2, 3)])
     profile = replay(g, sequence_from_vertex_merges(4, [(1, 2)]))
     assert profile.per_step_width == (2,)
     state = ContractionState(g)
     state.merge(1, 2)
-    assert state.red_degree(1) == 2
+    assert len(state.red_adj[1]) == 2
 
 
 def test_replay_errors():
-    g = make_trigraph(3, [(0, 1)])
+    g = Trigraph(3, [(0, 1)])
     with pytest.raises(SequenceError):
         replay(g, sequence_from_vertex_merges(4, [(0, 1)]))
     with pytest.raises(SequenceError):
         replay(g, PartitionSequence(3, (MergeStep(0, 1), MergeStep(0, 1))))
+    with pytest.raises(SequenceError, match=r"merge \(1,1\) names the same part twice"):
+        ContractionState(g).merge(1, 1)
 
 
 def test_verify_requires_full_sequence():
-    g = make_trigraph(3, [(0, 1)])
+    g = Trigraph(3, [(0, 1)])
     with pytest.raises(PartialSequenceError):
         verify_d_sequence(g, sequence_from_vertex_merges(3, [(0, 1)]), 1)
     with pytest.raises(SequenceError, match="sequence is for n=2, trigraph has n=3"):
@@ -73,7 +76,7 @@ def test_verify_requires_full_sequence():
 
 
 def test_k4_is_a_zero_sequence_in_any_twin_order():
-    k4 = make_trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    k4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     rng = random.Random(5)
     for _ in range(10):
         reps = list(range(4))
@@ -87,7 +90,7 @@ def test_k4_is_a_zero_sequence_in_any_twin_order():
 
 
 def test_part_count_shrinks_by_one_per_step():
-    g = make_trigraph(5, [(0, 1), (2, 3)])
+    g = Trigraph(5, [(0, 1), (2, 3)])
     state = ContractionState(g)
     seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     assert len(seq.steps) == g.n - 1
@@ -114,23 +117,23 @@ def test_incremental_matches_definition_on_random_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         black = [e for e in pairs if rng.random() < 0.4]
         red = [e for e in pairs if e not in black and rng.random() < 0.25]
-        g = make_trigraph(n, black, red)
+        g = Trigraph(n, black, red)
         state = ContractionState(g)
         parts = {v: frozenset([v]) for v in range(n)}
         for a, b in _random_full_merges(n, rng):
             a, b = min(a, b), max(a, b)
-            colors, width = state.pair_colors(), state.max_red_degree()
+            colors, width = pair_colors(state), state.max_red_degree()
             child = state.merged(a, b)
-            assert (state.pair_colors(), state.max_red_degree()) == (colors, width)
+            assert (pair_colors(state), state.max_red_degree()) == (colors, width)
             state.merge(a, b)
-            assert child.pair_colors() == state.pair_colors()
+            assert pair_colors(child) == pair_colors(state)
             assert child.max_red_degree() == state.max_red_degree()
             parts[a] = parts[a] | parts.pop(b)
             ordered = sorted(parts)
             by_def = quotient_by_definition(g, [parts[r] for r in ordered])
             expect = {(ordered[i], ordered[j]): color
                       for (i, j), color in by_def.items()}
-            assert state.pair_colors() == expect
+            assert pair_colors(state) == expect
 
 
 def test_merged_width_matches_the_merged_copy():
@@ -143,15 +146,15 @@ def test_merged_width_matches_the_merged_copy():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         black = [e for e in pairs if rng.random() < 0.4]
         red = [e for e in pairs if e not in black and rng.random() < 0.2]
-        state = ContractionState(make_trigraph(n, black, red))
+        state = ContractionState(Trigraph(n, black, red))
         for a, b in _random_full_merges(n, rng):
-            colors, count = state.pair_colors(), state.red_count.copy()
+            colors, count = pair_colors(state), state.red_count.copy()
             live = sorted(state.live)
             for i, p in enumerate(live):
                 for q in live[i + 1:]:
                     assert state.merged_width(p, q) == state.merged(p, q).max_red_degree()
                     checks += 1
-            assert (state.pair_colors(), state.red_count) == (colors, count)
+            assert (pair_colors(state), state.red_count) == (colors, count)
             state.merge(a, b)
     assert checks > 5000
 
@@ -165,7 +168,7 @@ def test_width_monotone_under_redify():
 
 
 def test_overall_width_includes_initial_trigraph():
-    g = make_trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
+    g = Trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
     seq = sequence_from_vertex_merges(4, [(1, 2), (1, 3), (0, 1)])
     profile = replay(g, seq)
     assert profile.initial_width == 3
@@ -187,7 +190,7 @@ def test_red_degree_histogram_matches_scan_and_quotient():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         black = [e for e in pairs if rng.random() < 0.3]
         red = [e for e in pairs if e not in black and rng.random() < 0.08]
-        g = make_trigraph(n, black, red)
+        g = Trigraph(n, black, red)
         state = ContractionState(g)
         parts = {v: {v} for v in range(n)}
         width = state.max_red_degree()
@@ -231,7 +234,7 @@ def test_replay_matches_scanned_profile_on_reductions(mincol_demo, mincol_demo_s
 
 def test_engine_leaves_the_graph_alone(mincol_demo, mincol_demo_sequence):
     """The engine copies the graph's neighbor sets and never writes to them."""
-    red_graph = make_trigraph(5, [(0, 1), (1, 2), (3, 4)], [(0, 2), (2, 3), (1, 4)])
+    red_graph = Trigraph(5, [(0, 1), (1, 2), (3, 4)], [(0, 2), (2, 3), (1, 4)])
     red_seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     for g, seq in ((red_graph, red_seq), (mincol_demo.graph, mincol_demo_sequence)):
         before = [set(s) for s in g.black_adj + g.red_adj]

@@ -10,8 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from twinwidth import (ContractionState, Partition, make_trigraph,  # noqa: E402
-                       max_red_degree, quotient)
+from reference import max_red_degree, pair_colors  # noqa: E402
+from twinwidth import ContractionState, Partition, Trigraph, quotient  # noqa: E402
 
 
 @st.composite
@@ -31,7 +31,7 @@ def trigraph_and_merges(draw):
         a, b = draw(st.lists(st.sampled_from(reps), min_size=2, max_size=2, unique=True))
         merges.append((min(a, b), max(a, b)))
         reps.remove(max(a, b))
-    return make_trigraph(n, black, red), merges
+    return Trigraph(n, black, red), merges
 
 
 @settings(max_examples=200, deadline=None)
@@ -48,7 +48,7 @@ def test_every_prefix_matches_quotient(case):
         by_def = quotient(g, Partition(g.n, [parts[r] for r in reps]))
         expect = {(reps[i], reps[j]): "black" for i, j in by_def.black}
         expect.update({(reps[i], reps[j]): "red" for i, j in by_def.red})
-        assert state.pair_colors() == expect
+        assert pair_colors(state) == expect
         for p in range(g.n):  # symmetric and disjoint neighbor sets; none for dead parts
             black, red = state.black_adj[p], state.red_adj[p]
             assert not black & red and (p in state.live or not black | red)
@@ -63,8 +63,8 @@ def test_merged_width_matches_the_merged_copy(case):
     g, merges = case
     state = ContractionState(g)
     for a, b in merges:
-        colors, count = state.pair_colors(), state.red_count.copy()
+        colors, count = pair_colors(state), state.red_count.copy()
         for p, q in combinations(sorted(state.live), 2):
             assert state.merged_width(p, q) == state.merged(p, q).max_red_degree()
-        assert (state.pair_colors(), state.red_count) == (colors, count)
+        assert (pair_colors(state), state.red_count) == (colors, count)
         state.merge(a, b)

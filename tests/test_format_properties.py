@@ -8,7 +8,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from twinwidth import Dialect, Trigraph, make_trigraph  # noqa: E402
+from twinwidth import Dialect, Trigraph  # noqa: E402
 from twinwidth.errors import TwinwidthError  # noqa: E402
 from twinwidth.formats import (parse_dimacs_cnf, read_assignment,  # noqa: E402
                                read_coloring, read_roles, read_sequence,
@@ -22,7 +22,7 @@ def trigraphs(draw):
     colors = draw(st.lists(st.sampled_from("-br"), min_size=len(pairs), max_size=len(pairs)))
     black = [e for e, c in zip(pairs, colors) if c == "b"]
     red = [e for e, c in zip(pairs, colors) if c == "r"]
-    return make_trigraph(n, black, red)
+    return Trigraph(n, black, red)
 
 
 @settings(max_examples=200, deadline=None)

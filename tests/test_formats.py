@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twinwidth import Coloring, Dialect, make_trigraph, sequence_from_vertex_merges
+from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
 from twinwidth.errors import DialectError, ParseError, UnusedVariableError
 from twinwidth.formats import (parse_dimacs_cnf, read_assignment,
                                read_coloring, read_roles, read_sequence,
@@ -19,7 +19,7 @@ def test_trigraph_round_trip_bit_exact():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         cut = len(pairs) // 3
-        g = make_trigraph(n, pairs[:cut], pairs[cut:cut + cut // 2])
+        g = Trigraph(n, pairs[:cut], pairs[cut:cut + cut // 2])
         text = write_trigraph(g)
         h = read_trigraph(text)
         assert h.n == g.n and h.black == g.black and h.red == g.red
@@ -27,7 +27,7 @@ def test_trigraph_round_trip_bit_exact():
 
 
 def test_trigraph_plain_graph_has_no_red_lines():
-    g = make_trigraph(3, [(0, 1)])
+    g = Trigraph(3, [(0, 1)])
     text = write_trigraph(g)
     assert text == "tgf 3 1 0\nb 1 2\n"
 
@@ -113,7 +113,7 @@ def test_assignment_round_trip():
 
 
 def test_roles_round_trip():
-    g = make_trigraph(3, [(0, 1)], labels={
+    g = Trigraph(3, [(0, 1)], labels={
         0: VertexRole("A", (2, 5)), 1: VertexRole("Z"), 2: VertexRole("T", (1, "u"))})
     text = write_roles(g)
     assert "1 A 2 5" in text and "2 Z" in text and "3 T 1 u" in text
@@ -128,7 +128,7 @@ def test_roles_round_trip():
                          ("1 A -3 007\n", (-3, "007"))):
         roles = read_roles(text)
         assert roles == {0: VertexRole("A", coords)}
-        assert write_roles(make_trigraph(1, labels=roles)) == text
+        assert write_roles(Trigraph(1, labels=roles)) == text
 
 
 def test_parse_dimacs_demo():
@@ -162,6 +162,8 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
     with pytest.raises(ParseError, match="second problem line: 'p cnf 3 2'"):
         parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\np cnf 3 2\n")
+    with pytest.raises(ParseError, match="malformed problem line: 'pq cnf 3 1'"):
+        parse_dimacs_cnf("pq cnf 3 1\n1 2 3 0\n")
     with pytest.raises(UnusedVariableError):
         parse_dimacs_cnf("p cnf 4 1\n1 2 3 0\n")
 

@@ -10,10 +10,9 @@ from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
                        solve_nae, subdivision_positions,
                        threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment, verify_d_sequence)
-from twinwidth.errors import (DialectError, KTooSmallError,
+from twinwidth.errors import (DialectError, KRangeError,
                               NotNaeSatisfyingError, NotProperError,
                               TooManyColorsError)
-from twinwidth.errors import KRangeError
 from twinwidth.threecol import MAX_K
 
 
@@ -200,7 +199,7 @@ def test_lift_small_and_demo(threecol_demo):
     big = lift_to_k(threecol_demo, 5)
     ok, _ = verify_d_sequence(big.graph, big.sequence, 4)
     assert ok
-    with pytest.raises(KTooSmallError):
+    with pytest.raises(KRangeError):
         lift_to_k(inst, 2)
     assert lift_to_k(inst, MAX_K).graph.n == inst.graph.n + MAX_K - 3
     with pytest.raises(KRangeError, match=f"^k must be at most {MAX_K}, got {MAX_K + 1}$"):

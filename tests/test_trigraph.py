@@ -2,15 +2,14 @@ import random
 
 import pytest
 
-from reference import all_graphs, all_partitions, quotient_by_definition
-from twinwidth import (Partition, VertexRole, make_trigraph,
-                       max_red_degree, quotient, red_degree, redify)
+from reference import all_graphs, all_partitions, quotient_by_definition, redify
+from twinwidth import ContractionState, Partition, Trigraph, VertexRole, quotient
 from twinwidth.errors import (LoopError, OverlapError, PartitionError,
                               RangeError)
 
 
 def test_make_trigraph_plain_path():
-    g = make_trigraph(3, [(0, 1), (1, 2)])
+    g = Trigraph(3, [(0, 1), (1, 2)])
     assert g.n == 3
     assert g.black == {(0, 1), (1, 2)}
     assert g.red == frozenset()
@@ -18,38 +17,36 @@ def test_make_trigraph_plain_path():
 
 def test_make_trigraph_rejects_overlap():
     with pytest.raises(OverlapError):
-        make_trigraph(2, [(0, 1)], [(0, 1)])
+        Trigraph(2, [(0, 1)], [(0, 1)])
 
 
 def test_make_trigraph_rejects_overlap_reversed_pair():
     with pytest.raises(OverlapError):
-        make_trigraph(2, [(0, 1)], [(1, 0)])
+        Trigraph(2, [(0, 1)], [(1, 0)])
 
 
 def test_make_trigraph_range_and_loops():
     with pytest.raises(RangeError):
-        make_trigraph(2, [(0, 2)])
+        Trigraph(2, [(0, 2)])
     with pytest.raises(LoopError):
-        make_trigraph(2, [], [(1, 1)])
+        Trigraph(2, [], [(1, 1)])
     with pytest.raises(RangeError):
-        make_trigraph(-1)
+        Trigraph(-1)
 
 
 def test_make_trigraph_single_vertex_and_duplicates():
-    g = make_trigraph(1)
+    g = Trigraph(1)
     assert g.n == 1 and not g.black and not g.red
-    g = make_trigraph(3, [(0, 1), (1, 0), (0, 1)])
+    g = Trigraph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.black == {(0, 1)}
 
 
 def test_red_degree_counts():
-    triangle = make_trigraph(3, [(0, 1), (1, 2), (0, 2)])
-    assert all(red_degree(triangle, v) == 0 for v in range(3))
-    g = make_trigraph(3, [], [(0, 1), (0, 2)])
-    assert red_degree(g, 0) == 2
-    assert red_degree(g, 1) == 1
-    with pytest.raises(RangeError):
-        red_degree(g, 3)
+    triangle = Trigraph(3, [(0, 1), (1, 2), (0, 2)])
+    assert all(len(triangle.red_adj[v]) == 0 for v in range(3))
+    g = Trigraph(3, [], [(0, 1), (0, 2)])
+    assert len(g.red_adj[0]) == 2
+    assert len(g.red_adj[1]) == 1
 
 
 def test_red_degree_sum_is_twice_red_edges():
@@ -59,23 +56,23 @@ def test_red_degree_sum_is_twice_red_edges():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         cut = rng.randint(0, len(pairs))
-        g = make_trigraph(n, pairs[:cut // 2], pairs[cut // 2:cut])
-        assert sum(red_degree(g, v) for v in range(n)) == 2 * len(g.red)
+        g = Trigraph(n, pairs[:cut // 2], pairs[cut // 2:cut])
+        assert sum(len(g.red_adj[v]) for v in range(n)) == 2 * len(g.red)
 
 
 def test_max_red_degree():
-    k4 = make_trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    assert max_red_degree(k4) == 0
-    assert max_red_degree(make_trigraph(2, [], [(0, 1)])) == 1
-    star = make_trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
-    assert max_red_degree(star) == 3
+    k4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    assert ContractionState(k4).max_red_degree() == 0
+    assert ContractionState(Trigraph(2, [], [(0, 1)])).max_red_degree() == 1
+    star = Trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
+    assert ContractionState(star).max_red_degree() == 3
 
 
-C4 = make_trigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+C4 = Trigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def test_quotient_singletons_is_identity():
-    q = quotient(C4, Partition.singletons(4))
+    q = quotient(C4, Partition(4, [[v] for v in range(4)]))
     assert q.black == C4.black and q.red == C4.red
 
 
@@ -95,7 +92,7 @@ def test_quotient_c4_opposite_pair_stays_black():
     q = quotient(C4, Partition(4, [[0, 2], [1], [3]]))
     assert q.black == {(0, 1), (0, 2)}
     assert q.red == frozenset()
-    assert red_degree(q, 0) == 0
+    assert len(q.red_adj[0]) == 0
 
 
 def test_quotient_rejects_foreign_partition():
@@ -138,7 +135,7 @@ def test_quotient_matches_definition_sampled_6():
                 black.append(e)
             elif roll < 0.5:
                 red.append(e)
-        g = make_trigraph(6, black, red)
+        g = Trigraph(6, black, red)
         for parts in rng.sample(parts_list, 25):
             q = quotient(g, Partition(6, parts))
             expect = quotient_by_definition(g, parts)
@@ -153,13 +150,13 @@ def test_disjointness_preserved_everywhere():
         n = rng.randint(2, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
-        g = make_trigraph(n, pairs[: len(pairs) // 3], pairs[len(pairs) // 3: len(pairs) // 2])
-        for op in (redify(g), quotient(g, Partition.singletons(n))):
+        g = Trigraph(n, pairs[: len(pairs) // 3], pairs[len(pairs) // 3: len(pairs) // 2])
+        for op in (redify(g), quotient(g, Partition(n, [[v] for v in range(n)]))):
             assert not op.black & op.red
 
 
 def test_redify():
-    p3 = make_trigraph(3, [(0, 1), (1, 2)])
+    p3 = Trigraph(3, [(0, 1), (1, 2)])
     r = redify(p3)
     assert not r.black and r.red == {(0, 1), (1, 2)}
     again = redify(r)
