@@ -95,8 +95,7 @@ def _build(report: RunReport, args):
         inst = build_3col(formula)
         bound = 4
         if k is not None and k != 3:
-            lifted = lift_to_k(inst, k)
-            graph, seq, colors = lifted.graph, lifted.sequence, k
+            graph, seq, colors = *lift_to_k(inst, k), k
             report.add("k", k)
         else:
             graph, seq, colors = inst.graph, build_3col_4sequence(inst), 3

@@ -24,17 +24,10 @@ from .trigraph import Trigraph
 
 
 @dataclass(frozen=True)
-class MergeStep:
-    """Merge the parts represented by a and b (a < b after normalization)."""
-
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
 class PartitionSequence:
     n: int
-    steps: tuple[MergeStep, ...]
+    # (a, b) with a < b: merge the parts whose smallest members are a and b
+    steps: tuple[tuple[int, int], ...]
 
     @property
     def is_full(self) -> bool:
@@ -85,7 +78,7 @@ def sequence_from_vertex_merges(n: int, merges: Iterable[tuple[int, int]],
                 f"merge ({u + base},{v + base}) names two vertices already in the same part")
         lo, hi = (ru, rv) if ru < rv else (rv, ru)
         parent[hi] = lo
-        steps.append(MergeStep(lo, hi))
+        steps.append((lo, hi))
     return PartitionSequence(n, tuple(steps))
 
 
@@ -204,8 +197,8 @@ def replay(g: Trigraph, seq: PartitionSequence) -> WidthProfile:
     state = ContractionState(g)
     initial = state.max_red_degree()
     widths = []
-    for step in seq.steps:
-        state.merge(step.a, step.b)
+    for a, b in seq.steps:
+        state.merge(a, b)
         widths.append(state.max_red_degree())
     overall = max([initial, *widths])
     return WidthProfile(initial, tuple(widths), overall)

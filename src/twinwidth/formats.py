@@ -91,7 +91,7 @@ def read_trigraph(text: str) -> Trigraph:
 
 def write_sequence(seq: PartitionSequence) -> str:
     lines = [f"seq {seq.n} {len(seq.steps)}"]
-    lines.extend(f"m {s.a + 1} {s.b + 1}" for s in seq.steps)
+    lines.extend(f"m {a + 1} {b + 1}" for a, b in seq.steps)
     return "\n".join(lines) + "\n"
 
 
@@ -207,14 +207,14 @@ def parse_dimacs_cnf(text: str, dialect: Dialect = Dialect.THREE_SAT) -> CnfForm
             literals = [int(tok) for tok in line.split()]
         except ValueError:
             raise ParseError(f"malformed clause line: {line!r}") from None
-        pending.extend(literals)
-        while 0 in pending:
-            cut = pending.index(0)
-            clause = pending[:cut]
-            pending = pending[cut + 1:]
-            if len(clause) != 3:
-                raise ParseError(f"clause {clause} does not have exactly 3 literals")
-            clauses.append(tuple(clause))
+        for lit in literals:  # a clause may span lines or share one
+            if lit:
+                pending.append(lit)
+            elif len(pending) != 3:
+                raise ParseError(f"clause {pending} does not have exactly 3 literals")
+            else:
+                clauses.append(tuple(pending))
+                pending = []
     if n_vars is None:
         raise ParseError("missing problem line")
     if pending:

@@ -29,7 +29,6 @@ from .trigraph import Trigraph, VertexRole
 class MinColInstance:
     formula: CnfFormula
     n: int
-    m: int
     p: int
     graph: Trigraph
 
@@ -58,7 +57,7 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     p = 2 * n + m
     width = 2 * n
     side = width * p
-    layout = MinColInstance(formula, n, m, p, None)
+    layout = MinColInstance(formula, n, p, None)
     a, b, v = layout.a, layout.b, layout.v
     edges: list[tuple[int, int]] = []
 

@@ -1,8 +1,8 @@
 """Structured-text run reports for the CLI.
 
-A report is an ordered list of key/value lines plus a list of named
-check failures.  Everything except the wall-time line is reproducible
-for fixed inputs.
+A report is an ordered list of key/value lines; each failed check is a
+FAIL line naming its invariant.  Everything except the wall-time line is
+reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 class RunReport:
     command: str
     entries: list[tuple[str, str]] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
 
     def add(self, key: str, value) -> None:
         self.entries.append((key, str(value)))
 
     def fail(self, invariant: str) -> None:
-        self.failures.append(invariant)
         self.add("FAIL", invariant)
 
     def skip(self, what: str) -> None:
@@ -28,7 +26,7 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(key != "FAIL" for key, _ in self.entries)
 
     def render(self) -> str:
         lines = [f"command: {self.command}"]

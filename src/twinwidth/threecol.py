@@ -221,17 +221,10 @@ def threecol_assignment_from_coloring(inst: ThreeColInstance,
     return assignment
 
 
-@dataclass(frozen=True)
-class LiftedInstance:
-    """A k-colorability instance lifted from a 3-coloring one."""
-
-    graph: Trigraph
-    sequence: PartitionSequence
-    k: int
-
-
-def lift_to_k(inst: ThreeColInstance, k: int) -> LiftedInstance:
+def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequence]:
     """Add k-3 universal vertices; k-colorable iff the base is 3-colorable.
+
+    Returns the lifted graph and its contraction sequence.
 
     Universal vertices are pairwise twins, so the emitted sequence
     merges them into one part first, replays the width-4 sequence on the
@@ -255,7 +248,7 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> LiftedInstance:
 
     base_seq = build_3col_4sequence(inst)
     merges = [(base.n, base.n + t) for t in range(1, extra)]
-    merges.extend((s.a, s.b) for s in base_seq.steps)
+    merges.extend(base_seq.steps)
     if extra > 0:
         merges.append((0, base.n))
-    return LiftedInstance(graph, sequence_from_vertex_merges(total, merges), k)
+    return graph, sequence_from_vertex_merges(total, merges)

@@ -242,10 +242,10 @@ def test_acceptance_10_universal_lift(nae_corpus):
             inst = build_3col(f)
             base, _ = is_k_colorable(inst.graph, 3, budget=COLOR_BUDGET)
             for k in (4, 5):
-                lifted = lift_to_k(inst, k)
-                ok, _ = verify_d_sequence(lifted.graph, lifted.sequence, 4)
+                graph, seq = lift_to_k(inst, k)
+                ok, _ = verify_d_sequence(graph, seq, 4)
                 assert ok
-                colorable, _ = is_k_colorable(lifted.graph, k, budget=COLOR_BUDGET)
+                colorable, _ = is_k_colorable(graph, k, budget=COLOR_BUDGET)
                 assert colorable == base
         info["detail"] = "20 instances x k in {4,5}, "
 

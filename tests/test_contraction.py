@@ -4,9 +4,8 @@ import pytest
 
 from reference import (all_graphs, max_red_degree, pair_colors,
                        quotient_by_definition, redify)
-from twinwidth import (ContractionState, MergeStep, PartitionSequence,
-                       Trigraph, replay, sequence_from_vertex_merges,
-                       verify_d_sequence)
+from twinwidth import (ContractionState, PartitionSequence, Trigraph,
+                       replay, sequence_from_vertex_merges, verify_d_sequence)
 from twinwidth import Partition, WidthProfile, quotient
 from twinwidth import exact_twinwidth
 from twinwidth.errors import PartialSequenceError, SequenceError
@@ -14,7 +13,7 @@ from twinwidth.errors import PartialSequenceError, SequenceError
 
 def test_merge_script_normalizes_to_representatives():
     seq = sequence_from_vertex_merges(4, [(3, 2), (3, 1), (0, 2)])
-    assert seq.steps == (MergeStep(2, 3), MergeStep(1, 2), MergeStep(0, 1))
+    assert seq.steps == ((2, 3), (1, 2), (0, 1))
     assert seq.is_full
 
 
@@ -62,7 +61,7 @@ def test_replay_errors():
     with pytest.raises(SequenceError):
         replay(g, sequence_from_vertex_merges(4, [(0, 1)]))
     with pytest.raises(SequenceError):
-        replay(g, PartitionSequence(3, (MergeStep(0, 1), MergeStep(0, 1))))
+        replay(g, PartitionSequence(3, ((0, 1), (0, 1))))
     with pytest.raises(SequenceError, match=r"merge \(1,1\) names the same part twice"):
         ContractionState(g).merge(1, 1)
 
@@ -95,7 +94,7 @@ def test_part_count_shrinks_by_one_per_step():
     seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     assert len(seq.steps) == g.n - 1
     for idx, step in enumerate(seq.steps, start=1):
-        state.merge(step.a, step.b)
+        state.merge(*step)
         assert len(state.live) == g.n - idx
 
 
@@ -219,7 +218,7 @@ def _scanned_profile(g, seq):
     initial = _scanned_width(state)
     widths = []
     for step in seq.steps:
-        state.merge(step.a, step.b)
+        state.merge(*step)
         widths.append(_scanned_width(state))
     return WidthProfile(initial, tuple(widths), max([initial, *widths]))
 

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
-from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
+from twinwidth import (Coloring, Dialect, Trigraph, random_formula,
+                       sequence_from_vertex_merges)
 from twinwidth.errors import DialectError, ParseError, UnusedVariableError
 from twinwidth.formats import (parse_dimacs_cnf, read_assignment,
                                read_coloring, read_roles, read_sequence,
@@ -73,6 +75,8 @@ def test_sequence_round_trip():
         read_sequence("seq 3 1\nm 1 x\n")
     with pytest.raises(ParseError, match="non-negative"):
         read_sequence("seq -1 0\n")
+    with pytest.raises(ParseError, match="malformed merge line: 'x 1 2'"):
+        read_sequence("seq 2 1\nx 1 2\n")
     # merge lines may name any vertex of each part
     assert read_sequence("seq 3 2\nm 1 2\nm 2 3\n") == \
         sequence_from_vertex_merges(3, [(0, 1), (0, 2)])
@@ -164,6 +168,10 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("p cnf 3 1\n1 2 3 0\np cnf 3 2\n")
     with pytest.raises(ParseError, match="malformed problem line: 'pq cnf 3 1'"):
         parse_dimacs_cnf("pq cnf 3 1\n1 2 3 0\n")
+    with pytest.raises(ParseError, match="malformed problem line: 'p cnf x 1'"):
+        parse_dimacs_cnf("p cnf x 1\n1 2 3 0\n")
+    with pytest.raises(ParseError, match="malformed clause line: '1 y 3 0'"):
+        parse_dimacs_cnf("p cnf 3 1\n1 y 3 0\n")
     with pytest.raises(UnusedVariableError):
         parse_dimacs_cnf("p cnf 4 1\n1 2 3 0\n")
 
@@ -171,3 +179,26 @@ def test_parse_dimacs_errors():
 def test_parse_dimacs_multiline_clauses():
     f = parse_dimacs_cnf("p cnf 3 2\n1 -2\n3 0 -1\n2 -3 0\n")
     assert f.clauses == ((1, -2, 3), (-1, 2, -3))
+
+
+def test_parse_dimacs_one_line_is_not_quadratic():
+    f = random_formula(200, 20_000, Dialect.THREE_SAT, random.Random(13))
+    per_line = write_dimacs_cnf(f)
+    header, body = per_line.split("\n", 1)
+    one_line = header + "\n" + body.replace("\n", " ") + "\n"
+    assert len(one_line.splitlines()) == 2
+
+    def best_parse_s(text):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            assert parse_dimacs_cnf(text) == f
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    # copying the rest of the line once per clause made this 14x
+    assert best_parse_s(one_line) < 3 * best_parse_s(per_line)
+    with pytest.raises(ParseError, match=r"^clause \[1, -2\] does not have exactly 3 literals$"):
+        parse_dimacs_cnf("p cnf 3 2\n1 2 3 0 1 -2 0\n")
+    with pytest.raises(ParseError, match=r"^trailing literals without terminating 0: \[1, 2, 3\]$"):
+        parse_dimacs_cnf("p cnf 3 2\n1 2 3 0 1 2 3\n")

@@ -117,7 +117,7 @@ def test_stage_one_prefix_is_a_width_3_partial_sequence():
     full = build_mincol_3sequence(inst)
     stage1_len = (2 * inst.n - 1) * inst.p * 2
     prefix = sequence_from_vertex_merges(
-        inst.graph.n, [(s.a, s.b) for s in full.steps[:stage1_len]])
+        inst.graph.n, list(full.steps[:stage1_len]))
     assert replay(inst.graph, prefix).overall_width <= 3
 
 

@@ -203,7 +203,7 @@ def test_exact_twinwidth_budget():
     assert (exc.value.lower, exc.value.upper) == (1, 2)
     width, seq = exact_twinwidth(g, budget=2)
     assert width == 2
-    assert [(s.a, s.b) for s in seq.steps] == [(0, 1), (0, 2), (0, 3), (4, 6), (0, 4), (0, 5)]
+    assert list(seq.steps) == [(0, 1), (0, 2), (0, 3), (4, 6), (0, 4), (0, 5)]
 
 
 def _gnp(n, p, seed):
@@ -256,7 +256,7 @@ def test_exact_twinwidth_pinned_witnesses_and_budgets():
     for name, g in graphs.items():
         width, steps, budget = TWINWIDTH_PINS[name]
         found, seq = exact_twinwidth(g)
-        assert (found, [(s.a, s.b) for s in seq.steps]) == (width, steps), name
+        assert (found, list(seq.steps)) == (width, steps), name
         assert verify_d_sequence(g, seq, width)[0]
         assert exact_twinwidth(g, budget=budget) == (found, seq), name
         if budget:
@@ -279,7 +279,7 @@ def test_exact_twinwidth_beats_the_greedy_bound():
     for name, (g, width, steps, budget) in GREEDY_GAP_PINS.items():
         assert brute_twinwidth(g) == width, name
         found, seq = exact_twinwidth(g)
-        assert (found, [(s.a, s.b) for s in seq.steps]) == (width, steps), name
+        assert (found, list(seq.steps)) == (width, steps), name
         assert verify_d_sequence(g, seq, width)[0]
         assert exact_twinwidth(g, budget=budget) == (found, seq), name
         with pytest.raises(BudgetExceeded) as exc:
@@ -299,6 +299,11 @@ def _pinned_coloring_graphs(mincol_demo, threecol_demo):
     edges = sorted(groetzsch.black)
     m5 = Trigraph(23, edges + [(11 + u, v) for u, v in edges] + [(11 + v, u) for u, v in edges]
                   + [(22, 11 + i) for i in range(11)])
+    # not 3-colorable (brute force agrees), and the precoloring of the
+    # greedy clique {0, 1, 8} already leaves a vertex without a color
+    dead_end = Trigraph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (1, 4), (1, 5), (1, 6), (1, 8),
+                            (2, 3), (2, 5), (2, 7), (2, 8), (3, 4), (3, 6), (3, 7), (4, 5), (5, 7),
+                            (5, 8), (6, 7), (7, 8)])
     # W6: a hub joined to every vertex of C5
     wheel = Trigraph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
     return {
@@ -311,6 +316,7 @@ def _pinned_coloring_graphs(mincol_demo, threecol_demo):
         "gnp-30-0.7-28": (_gnp(30, .7, 28), 9),  # the n*k enumeration cap binds
         # k >= clique + 2, so colors above max_used + 1 are cut by symmetry
         "groetzsch-4": (groetzsch, 4), "M5-4": (m5, 4), "M5-5": (m5, 5),
+        "precolor-dead-end-9": (dead_end, 3),
     }
 
 
@@ -339,6 +345,7 @@ COLORING_PINS = {
     "groetzsch-4": (True, "21231232341", 11, 4, 26, (3, 4)),
     "M5-4": (False, None, 735, 5, 735, (4, 5)),
     "M5-5": (True, "32342111112323423434521", 23, 5, 735, (4, 5)),
+    "precolor-dead-end-9": (False, None, 3, 4, 3, (3, 4)),
 }
 
 

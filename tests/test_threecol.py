@@ -182,26 +182,26 @@ def test_equivalence_spot_checks():
 
 
 def test_lift_identity_at_3(threecol_demo, threecol_demo_sequence):
-    lifted = lift_to_k(threecol_demo, 3)
-    assert lifted.graph.n == threecol_demo.graph.n
-    assert lifted.graph.black == threecol_demo.graph.black
-    assert lifted.sequence == threecol_demo_sequence
+    graph, seq = lift_to_k(threecol_demo, 3)
+    assert graph.n == threecol_demo.graph.n
+    assert graph.black == threecol_demo.graph.black
+    assert seq == threecol_demo_sequence
 
 
 def test_lift_small_and_demo(threecol_demo):
     f = CnfFormula(3, ((1, 2, 3),), Dialect.NAE_THREE_SAT)
     inst = build_3col(f)
-    lifted = lift_to_k(inst, 4)
-    assert lifted.graph.n == 8
-    assert is_k_colorable(lifted.graph, 4)[0] == is_k_colorable(inst.graph, 3)[0]
-    ok, _ = verify_d_sequence(lifted.graph, lifted.sequence, 4)
+    graph, seq = lift_to_k(inst, 4)
+    assert graph.n == 8
+    assert is_k_colorable(graph, 4)[0] == is_k_colorable(inst.graph, 3)[0]
+    ok, _ = verify_d_sequence(graph, seq, 4)
     assert ok
-    big = lift_to_k(threecol_demo, 5)
-    ok, _ = verify_d_sequence(big.graph, big.sequence, 4)
+    big_graph, big_seq = lift_to_k(threecol_demo, 5)
+    ok, _ = verify_d_sequence(big_graph, big_seq, 4)
     assert ok
     with pytest.raises(KRangeError):
         lift_to_k(inst, 2)
-    assert lift_to_k(inst, MAX_K).graph.n == inst.graph.n + MAX_K - 3
+    assert lift_to_k(inst, MAX_K)[0].n == inst.graph.n + MAX_K - 3
     with pytest.raises(KRangeError, match=f"^k must be at most {MAX_K}, got {MAX_K + 1}$"):
         lift_to_k(inst, MAX_K + 1)
 
@@ -209,7 +209,7 @@ def test_lift_small_and_demo(threecol_demo):
 def test_lift_universal_vertices_touch_everything():
     f = CnfFormula(3, ((1, 2, 3),), Dialect.NAE_THREE_SAT)
     inst = build_3col(f)
-    lifted = lift_to_k(inst, 6)
-    adj = lifted.graph.black_adj
-    for extra in range(inst.graph.n, lifted.graph.n):
-        assert len(adj[extra]) == lifted.graph.n - 1
+    graph, _ = lift_to_k(inst, 6)
+    adj = graph.black_adj
+    for extra in range(inst.graph.n, graph.n):
+        assert len(adj[extra]) == graph.n - 1
