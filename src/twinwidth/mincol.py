@@ -64,10 +64,8 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     # Each side is the (2n-1)-th power of a path: vertices at path
     # distance < 2n are adjacent.
     for offset in (0, side):
-        for t in range(side):
-            for d in range(1, width):
-                if t + d < side:
-                    edges.append((offset + t, offset + t + d))
+        for d in range(1, width):
+            edges.extend(zip(range(offset, offset + side - d), range(offset + d, offset + side)))
 
     # Variable apexes: v_{2i-1} and v_{2i} miss three block vertices each.
     for i in range(1, n + 1):

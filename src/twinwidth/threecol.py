@@ -57,7 +57,6 @@ class ThreeColInstance:
     n: int
     m: int
     graph: Trigraph
-    subdivisions: frozenset[tuple[int, int]]
     path_orders: tuple[tuple[int, ...], ...]
     # (variable, clause column) -> id of its path / subdivision vertex;
     # derived from the rest, so left out of equality and hashing
@@ -66,9 +65,6 @@ class ThreeColInstance:
 
     def path_vertex(self, i: int, j: int) -> int:
         return self.path_index[(i, j)]
-
-    def subdiv_vertex(self, i: int, j: int) -> int:
-        return self.subdiv_index[(i, j)]
 
     def triangle(self, j: int, slot: str) -> int:
         base = len(self.path_index) + len(self.subdiv_index)
@@ -124,8 +120,7 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
         edges.extend((hub, vid) for vid in order)
 
     graph = Trigraph(hub + 1, edges, (), labels)
-    return ThreeColInstance(formula, n, m, graph, frozenset(subdivisions),
-                            tuple(path_orders), path_at, subdiv_at)
+    return ThreeColInstance(formula, n, m, graph, tuple(path_orders), path_at, subdiv_at)
 
 
 def build_3col_4sequence(inst: ThreeColInstance) -> PartitionSequence:
@@ -140,10 +135,8 @@ def build_3col_4sequence(inst: ThreeColInstance) -> PartitionSequence:
         u, v, w = (inst.triangle(j, s) for s in _SLOTS)
         merges.append((u, v))
         merges.append((u, w))
-    for i in range(1, inst.n + 1):
-        for j in range(2, inst.m + 1):
-            if (i, j) in inst.subdivisions:
-                merges.append((inst.path_vertex(i, j), inst.subdiv_vertex(i, j)))
+    for (i, j), subdiv in inst.subdiv_index.items():
+        merges.append((inst.path_vertex(i, j), subdiv))
     for i in range(2, inst.n + 1):
         for j in range(1, inst.m + 1):
             merges.append((inst.path_vertex(1, j), inst.path_vertex(i, j)))
@@ -246,9 +239,10 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequen
         edges.extend((vid, other) for other in range(vid))
     graph = Trigraph(total, edges, (), labels)
 
-    base_seq = build_3col_4sequence(inst)
-    merges = [(base.n, base.n + t) for t in range(1, extra)]
-    merges.extend(base_seq.steps)
+    # Canonical as it stands: the base steps are canonical and end in part 0,
+    # and base.n is the smallest member of the universal part.
+    steps = [(base.n, base.n + t) for t in range(1, extra)]
+    steps.extend(build_3col_4sequence(inst).steps)
     if extra > 0:
-        merges.append((0, base.n))
-    return graph, sequence_from_vertex_merges(total, merges)
+        steps.append((0, base.n))
+    return graph, PartitionSequence(total, tuple(steps))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import pytest
 import twinwidth.cli
 import twinwidth.formats
 import twinwidth.oracles
+from twinwidth import Coloring
 from twinwidth.cli import main
+from twinwidth.errors import StructureError
 from twinwidth.formats import read_sequence, read_trigraph
 
 DEMO_SAT = "c demo\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
@@ -70,6 +73,33 @@ def test_reduce_3col(tmp_path, nae_cnf, capsys):
     assert "N: 91" in out
     assert "sequence_ok_at_4: True" in out
     assert len(read_sequence(seq.read_text()).steps) == 90
+
+
+# SHA-256 of the graph, sequence and roles files, in that order
+REDUCE_DIGESTS = [
+    (["mincol", "demo3sat.cnf"], (
+        "4c9f63f3f488b99dbdff785941f88c0ef06f87c96ecfec49640f3f7a533fe512",
+        "47e5bf5efedf8349a43aa883f393d6a1fd3c636eeaa0eb1dde88d41081681918",
+        "161a8f2ab0fa79c144cb1a7f7fb8ccf23c12a058036bc07a75acdae16d32a027")),
+    (["3col", "demo_nae.cnf"], (
+        "2e524f0b6c5ec268f0f27f5ef6dab894ee986e201aa2a25f5d4790f141aed96e",
+        "4cf2c5f62a380fcc2a7971127e6796bf636d32a61f843d291adece4a8cef868a",
+        "951f7d086ed728f06695b5bc27c5593cd30b93c1d5ca3865f15765caa7916fac")),
+    (["3col", "demo_nae.cnf", "--k", "5"], (
+        "3a14a973ae69606472dfaa4e69771b1713ee0c12fc4c22ce0ace33ad900f38d1",
+        "a1736ce32d0d4a707c6c7d45b97e365f904eebaf77a191bcec6bf2cf8a78d073",
+        "daa6caff7d1e9827f43f725965697eaaff729ba4da0ab9718994faf92076a510")),
+]
+
+
+@pytest.mark.parametrize("argv, digests", REDUCE_DIGESTS, ids=["mincol", "3col", "3col-k5"])
+def test_reduce_writes_pinned_bytes(tmp_path, capsys, argv, digests):
+    target, cnf, *rest = argv
+    paths = [tmp_path / name for name in ("out.tgf", "out.seq", "out.roles")]
+    assert main(["reduce", target, str(DATA / cnf), *rest, "--graph", str(paths[0]),
+                 "--sequence", str(paths[1]), "--roles", str(paths[2])]) == 0
+    capsys.readouterr()
+    assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths) == digests
 
 
 def test_reduce_3col_lifted(tmp_path, nae_cnf, capsys):
@@ -220,6 +250,68 @@ def test_roundtrip_budget_skip(sat_cnf, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "SKIP" in out
+
+
+def _b1_clash(real, inst, model):
+    """The real forward coloring, but B_1's first two vertices share a color."""
+    colors = list(real(inst, model).colors)
+    colors[inst.b(1, 2)] = colors[inst.b(1, 1)]
+    return Coloring(colors, inst.color_budget)
+
+
+def _one_color_short(real, inst, model):
+    """The real forward coloring with color 2n recolored 2n-1."""
+    top = inst.color_budget
+    return Coloring([min(c, top - 1) for c in real(inst, model).colors], top)
+
+
+def _parity_error(real, inst, col):
+    raise StructureError("occurrence colors of variable 1 violate parity")
+
+
+ROUNDTRIP_MINCOL = ["roundtrip", "--mincol", str(DATA / "demo3sat.cnf")]
+ROUNDTRIP_3COL = ["roundtrip", "--3col", str(DATA / "demo_nae.cnf")]
+# (argv, name patched in twinwidth.cli, replacement given the real one, FAIL lines)
+FAILED_CHECKS = [
+    (ROUNDTRIP_MINCOL, "mincol_coloring_from_assignment", _b1_clash,
+     ["forward_backward_roundtrip: coloring is not proper"]),
+    (ROUNDTRIP_3COL, "threecol_assignment_from_coloring", _parity_error,
+     ["oracle_witness_roundtrip: occurrence colors of variable 1 violate parity",
+      "forward_backward_roundtrip: occurrence colors of variable 1 violate parity"]),
+    (["tww-exact", "p4.tgf"], "exact_twinwidth",
+     lambda real, g, budget: (0, real(g, budget)[1]),
+     ["witness sequence does not verify at the reported width"]),
+    (["chromatic", "p4.tgf"], "chromatic_number",
+     lambda real, g, budget: (2, Coloring([1, 1, 2, 2], 2)),
+     ["witness coloring rejected by the propriety checker"]),
+    (ROUNDTRIP_3COL, "is_k_colorable", lambda real, g, k, budget: (False, None),
+     ["oracle colorability verdict disagrees with satisfiability"]),
+    (ROUNDTRIP_MINCOL, "mincol_coloring_from_assignment", _one_color_short,
+     ["forward coloring does not use exactly 2n colors",
+      "forward_backward_roundtrip: coloring is not proper"]),
+    (ROUNDTRIP_MINCOL, "chromatic_number",
+     lambda real, g, budget: (5, real(g, budget)[1]),
+     ["chromatic number differs from the color budget"]),
+]
+
+
+@pytest.mark.parametrize("argv, name, replacement, fails", FAILED_CHECKS,
+                         ids=["mincol-backward-rejects", "3col-backward-raises",
+                              "tww-witness", "chromatic-witness", "3col-verdict",
+                              "mincol-too-few-colors", "mincol-chromatic"])
+def test_failed_check_exits_1_with_report(tmp_path, monkeypatch, capsys,
+                                          argv, name, replacement, fails):
+    """A check that fails on good input is a FAIL line and exit 1, never an error."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p4.tgf").write_text(P4)
+    real = getattr(twinwidth.cli, name)
+    monkeypatch.setattr(twinwidth.cli, name, lambda *args: replacement(real, *args))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert [line.removeprefix("FAIL: ") for line in captured.out.splitlines()
+            if line.startswith("FAIL: ")] == fails
+    assert captured.out.endswith("status: FAILED\n")
+    assert captured.err == ""
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -58,6 +58,11 @@ def test_trigraph_comments_and_errors():
         read_trigraph("tgf 2 2 1\nb 1 2\nb 1 2\nr 1 2\n")
 
 
+def test_trigraph_non_integer_id():
+    with pytest.raises(ParseError, match="^malformed edge line: 'b 1 x'$"):
+        read_trigraph("tgf 2 1 0\nb 1 x\n")
+
+
 def test_sequence_round_trip():
     seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     text = write_sequence(seq)

@@ -34,11 +34,18 @@ def test_subdivision_positions_rules():
         subdivision_positions(CnfFormula(3, ((1, 2, 3),), Dialect.THREE_SAT))
 
 
+def test_build_3col_rejections():
+    with pytest.raises(DialectError, match="takes NAE-3-SAT input"):
+        build_3col(CnfFormula(3, ((1, 2, 3),), Dialect.THREE_SAT))
+    with pytest.raises(DialectError, match="need at least one variable and one clause"):
+        build_3col(CnfFormula(0, (), Dialect.NAE_THREE_SAT))
+
+
 def test_demo_dimensions(threecol_demo):
     inst = threecol_demo
     assert inst.graph.n == 91
     assert inst.graph.n <= 3 * inst.m + (2 * inst.m - 1) * inst.n + 1
-    assert inst.subdivisions == NAE_DEMO_SUBDIVISIONS
+    assert inst.subdiv_index.keys() == NAE_DEMO_SUBDIVISIONS
 
 
 def test_single_clause_instance():
