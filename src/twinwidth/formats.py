@@ -18,12 +18,10 @@ MAX_VERTICES = 2**20  # readers refuse larger headers before allocating anything
 
 
 def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(line)
-    return out
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    return [line for raw in lines if (line := raw.strip())]
 
 
 def _ints(tokens: list[str], count: int, line: str, what: str) -> list[int]:
@@ -59,31 +57,32 @@ def read_trigraph(text: str) -> Trigraph:
     """Each pair may appear on one edge line only, in either orientation."""
     lines = _data_lines(text)
     n, n_black, n_red = _header(lines, "tgf", 3)
-    black, red = [], []
+    black, red = [[] for _ in range(n)], [[] for _ in range(n)]  # neighbor lists
+    sides = {"b": black, "r": red}
     for line in lines[1:]:  # the hot loop on large graphs: no helper calls
-        parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("b", "r"):
-            raise ParseError(f"malformed edge line: {line!r}")
         try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
+            tag, u, v = line.split()
+            adj = sides[tag]
+            u, v = int(u) - 1, int(v) - 1
+        except (ValueError, KeyError):
             raise ParseError(f"malformed edge line: {line!r}") from None
-        if u == v or not (0 < u <= n and 0 < v <= n):
+        if u == v or not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge line {line!r} does not join two vertices of 1..{n}")
-        (black if parts[0] == "b" else red).append((u - 1, v - 1))
-    if len(black) != n_black or len(red) != n_red:
+        adj[u].append(v)
+        adj[v].append(u)
+    if edge_count(black) != n_black or edge_count(red) != n_red:
         raise ParseError(
             f"header declares {n_black} black / {n_red} red edges, "
-            f"found {len(black)} / {len(red)}")
+            f"found {edge_count(black)} / {edge_count(red)}")
     try:
-        g = Trigraph(n, black, red)
-    except OverlapError:
-        u, v = min({(min(e), max(e)) for e in black} & {(min(e), max(e)) for e in red})
+        g = Trigraph._from_lists(n, black, red)
+    except OverlapError:  # the lists are frozen sets by now
+        u, v = min((u, v) for u, nbrs in enumerate(black) for v in nbrs & red[u] if u < v)
         raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None
     if edge_count(g.black_adj) + edge_count(g.red_adj) < n_black + n_red:
-        pairs = sorted((min(e), max(e)) for e in black + red)
+        pairs = sorted(sorted(map(int, line.split()[1:])) for line in lines[1:])
         u, v = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
-        raise ParseError(f"pair {u + 1} {v + 1} is on two edge lines")
+        raise ParseError(f"pair {u} {v} is on two edge lines")
     return g
 
 

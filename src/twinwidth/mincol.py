@@ -59,13 +59,15 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     side = width * p
     layout = MinColInstance(formula, n, p, None)
     a, b, v = layout.a, layout.b, layout.v
-    edges: list[tuple[int, int]] = []
-
     # Each side is the (2n-1)-th power of a path: vertices at path
-    # distance < 2n are adjacent.
-    for offset in (0, side):
-        for d in range(1, width):
-            edges.extend(zip(range(offset, offset + side - d), range(offset + d, offset + side)))
+    # distance < 2n are adjacent.  Block i's apex gets its list from join.
+    adj: list = [[*range(max(lo, x - width + 1), x), *range(x + 1, min(lo + side, x + width))]
+                 for lo in (0, side) for x in range(lo, lo + side)] + [()] * p
+
+    def join(block: int, nbrs: list[int]) -> None:
+        adj[v(block)] = nbrs
+        for u in nbrs:
+            adj[u].append(v(block))
 
     # Variable apexes: v_{2i-1} and v_{2i} miss three block vertices each.
     for i in range(1, n + 1):
@@ -73,26 +75,17 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
         missing_odd = {a(odd, 2 * i - 1), a(odd, 2 * i), b(odd, 2 * i - 1)}
         missing_even = {a(even, 2 * i - 1), a(even, 2 * i), b(even, 2 * i)}
         for block, missing in ((odd, missing_odd), (even, missing_even)):
-            apex = v(block)
-            for j in range(1, width + 1):
-                for u in (a(block, j), b(block, j)):
-                    if u not in missing:
-                        edges.append((apex, u))
+            join(block, [u for j in range(1, width + 1) for u in (a(block, j), b(block, j))
+                         if u not in missing])
 
     # Clause apexes: keep most of B_i, pick one A_i vertex per literal
     # (column 2j-1 for a positive literal on x_j, column 2j for a
     # negative one).  Repeated literals collapse by set semantics.
     for c_idx, clause in enumerate(formula.clauses):
         block = 2 * n + c_idx + 1
-        apex = v(block)
         skipped_b = {b(block, 2 * abs(lit)) for lit in clause}
-        for j in range(1, width + 1):
-            u = b(block, j)
-            if u not in skipped_b:
-                edges.append((apex, u))
-        for lit in clause:
-            column = 2 * abs(lit) - (1 if lit > 0 else 0)
-            edges.append((apex, a(block, column)))
+        join(block, [b(block, j) for j in range(1, width + 1) if b(block, j) not in skipped_b]
+             + [a(block, 2 * abs(lit) - (1 if lit > 0 else 0)) for lit in clause])
 
     labels = {}
     for i in range(1, p + 1):
@@ -101,7 +94,7 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
             labels[b(i, j)] = VertexRole("B", (i, j))
         labels[v(i)] = VertexRole("V", (i,))
 
-    return replace(layout, graph=Trigraph(2 * side + p, edges, (), labels))
+    return replace(layout, graph=Trigraph._from_lists(len(adj), adj, [()] * len(adj), labels))
 
 
 def build_mincol_3sequence(inst: MinColInstance) -> PartitionSequence:
@@ -166,12 +159,8 @@ def mincol_assignment_from_coloring(inst: MinColInstance, col: Coloring) -> Assi
             f"coloring uses color {max(col.colors)}, budget is {width}")
     if not is_proper(inst.graph, col):
         raise NotProperError("coloring is not proper")
-    perm = {}
-    for j in range(1, width + 1):
-        c = col.colors[inst.b(1, j)]
-        if c in perm:
-            raise NotProperError("two vertices of the B_1 clique share a color")
-        perm[c] = j
+    # B_1 is a clique, so a proper coloring gives its columns distinct colors
+    perm = {col.colors[inst.b(1, j)]: j for j in range(1, width + 1)}
     normalized = [perm[c] for c in col.colors]
 
     assignment: Assignment = {}

@@ -59,10 +59,10 @@ def _base_order(g: Trigraph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-len(g.black_adj[v]), v))
 
 
-def greedy_coloring(g: Trigraph) -> Coloring:
-    """First-fit along the base order; an upper bound for the chromatic number."""
+def greedy_coloring(g: Trigraph, order: list[int]) -> Coloring:
+    """First-fit along `order`, the base order; an upper bound for the chromatic number."""
     colors = [0] * g.n
-    for v in _base_order(g):
+    for v in order:
         used = {colors[u] for u in g.black_adj[v] if colors[u]}
         c = 1
         while c in used:
@@ -71,9 +71,8 @@ def greedy_coloring(g: Trigraph) -> Coloring:
     return Coloring(tuple(colors), max(colors, default=1))
 
 
-def greedy_clique(g: Trigraph) -> list[int]:
-    """A maximal clique grown greedily from several seeds; a lower bound witness."""
-    order = _base_order(g)
+def greedy_clique(g: Trigraph, order: list[int]) -> list[int]:
+    """A maximal clique grown greedily from several seeds along `order`; a lower bound witness."""
     rank = {v: i for i, v in enumerate(order)}
     adj = g.black_adj
     best: list[int] = []
@@ -87,7 +86,8 @@ def greedy_clique(g: Trigraph) -> list[int]:
     return best
 
 
-def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
+def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
+                   order: list[int] | None = None, clique: list[int] | None = None
                    ) -> tuple[bool, Coloring | None]:
     """Exact k-colorability with a witness coloring on success.
 
@@ -106,17 +106,20 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
     end, blamed on the levels that colored those members or forbade the
     color on them; at 1 its last supporter is the next vertex, that color
     first.  Budgets count precolored vertices and colors tried.
+
+    `order` and `clique` are `_base_order(g)` and `greedy_clique(g, order)`,
+    when the caller has computed them already.
     """
     if any(g.red_adj):
         raise RedEdgeError("colorability is defined for plain graphs")
     n = g.n
     if n == 0:
         return True, Coloring((), max(k, 0))
-    clique = greedy_clique(g)
+    order = _base_order(g) if order is None else order
+    clique = greedy_clique(g, order) if clique is None else clique
     if len(clique) > k:  # also every k <= 0, since n > 0
         return False, None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
-    order = _base_order(g)
     colors = [0] * n
     level = [0] * n  # search level that colored each vertex; -1 for the clique
     forbidden = [0] * n
@@ -281,11 +284,12 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
         raise RedEdgeError("chromatic number is defined for plain graphs")
     if g.n == 0:
         return 0, Coloring((), 0)
-    greedy = greedy_coloring(g)
-    lower = len(greedy_clique(g))
-    for k in range(lower, greedy.k):
+    order = _base_order(g)
+    greedy = greedy_coloring(g, order)
+    clique = greedy_clique(g, order)
+    for k in range(len(clique), greedy.k):
         try:
-            ok, witness = is_k_colorable(g, k, budget)
+            ok, witness = is_k_colorable(g, k, budget, order=order, clique=clique)
         except BudgetExceeded as exc:
             raise BudgetExceeded(str(exc), lower=k, upper=greedy.k) from None
         if ok:

@@ -231,13 +231,12 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequen
     base = inst.graph
     extra = k - 3
     total = base.n + extra
-    edges = [(u, v) for u, nbrs in enumerate(base.black_adj) for v in nbrs if u < v]
+    universal = range(base.n, total)  # each adjacent to every other vertex
+    adj = [[*nbrs, *universal] for nbrs in base.black_adj]
+    adj += [[*range(u), *range(u + 1, total)] for u in universal]
     labels = dict(base.labels)
-    for t in range(extra):
-        vid = base.n + t
-        labels[vid] = VertexRole("U", (t + 1,))
-        edges.extend((vid, other) for other in range(vid))
-    graph = Trigraph(total, edges, (), labels)
+    labels.update((u, VertexRole("U", (u - base.n + 1,))) for u in universal)
+    graph = Trigraph._from_lists(total, adj, [()] * total, labels)
 
     # Canonical as it stands: the base steps are canonical and end in part 0,
     # and base.n is the smallest member of the universal part.

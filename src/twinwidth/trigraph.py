@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LoopError, OverlapError, PartitionError, RangeError
 
@@ -52,19 +52,16 @@ def _coordinate(token: str) -> int | str:
 _NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
-def _adjacency(n: int, pairs: Iterable[Edge], kind: str) -> tuple[frozenset[int], ...]:
-    adj: list = [set() for _ in range(n)]
+def _neighbor_lists(n: int, pairs: Iterable[Edge], kind: str) -> list:
+    adj: list = [[] for _ in range(n)]
     for u, v in pairs:
         if u == v:
             raise LoopError(f"{kind} edge ({u},{v}) is a self-loop")
         if not (0 <= u < n and 0 <= v < n):
             raise RangeError(f"{kind} edge ({u},{v}) out of range for n={n}")
-        adj[u].add(v)
-        adj[v].add(u)
-    # In place, so one copy is alive; a plain graph's red side shares one set.
-    for v, nbrs in enumerate(adj):
-        adj[v] = frozenset(nbrs) if nbrs else _NO_NEIGHBORS
-    return tuple(adj)
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 def _edges(adj: Sequence[frozenset[int]]) -> frozenset[Edge]:
@@ -80,12 +77,28 @@ class Trigraph:
     """Vertex set 0..n-1 with disjoint black and red neighbor sets `black_adj`, `red_adj`."""
 
     def __init__(self, n: int, black: Iterable[Edge] = (), red: Iterable[Edge] = (),
-                 labels: Optional[Mapping[int, VertexRole]] = None):
+                 labels: Mapping[int, VertexRole] | None = None):
+        self._adopt(n, _neighbor_lists(n, black, "black"), _neighbor_lists(n, red, "red"), labels)
+
+    @classmethod
+    def _from_lists(cls, n: int, black: list, red: list, labels=None) -> Trigraph:
+        """Trusted: n symmetric, loop-free, in-range neighbor lists a side, frozen in place.
+
+        Repeated entries collapse.
+        """
+        g = cls.__new__(cls)
+        g._adopt(n, black, red, labels)
+        return g
+
+    def _adopt(self, n: int, black: list, red: list, labels) -> None:
         if n < 0:
             raise RangeError(f"vertex count must be non-negative, got {n}")
-        self.n = n
-        self.black_adj = _adjacency(n, black, "black")
-        self.red_adj = _adjacency(n, red, "red")
+        # In place, also when the sides overlap, so one copy is alive;
+        # every empty side shares one set.
+        for adj in (black, red):
+            for v, nbrs in enumerate(adj):
+                adj[v] = frozenset(nbrs) if nbrs else _NO_NEIGHBORS
+        self.n, self.black_adj, self.red_adj = n, tuple(black), tuple(red)
         if not all(map(frozenset.isdisjoint, self.black_adj, self.red_adj)):
             raise OverlapError(f"edges both black and red: {sorted(self.black & self.red)}")
         self.labels: dict[int, VertexRole] = dict(labels) if labels else {}

@@ -3,14 +3,18 @@
 Everything here is deliberately written from the definitions, in a
 different style from the package (flag scans instead of counters, raw
 enumeration instead of branch and bound), so agreement is meaningful.
-The first three functions are not references but small helpers that only
-tests call.
+The one exception is `read_trigraph_two_pass`, the package's earlier
+trigraph reader, kept so that the one-pass reader can be compared with
+it message for message.  The first three functions and the last two are
+not references but small helpers that only tests call.
 """
 
 import itertools
 
 from twinwidth import Partition, Trigraph, quotient
 from twinwidth.cnf import Dialect, literal_value
+from twinwidth.errors import OverlapError, ParseError, TwinwidthError
+from twinwidth.formats import _header
 
 
 def max_red_degree(g):
@@ -211,3 +215,93 @@ def random_cograph(n, rng):
     if rng.random() < 0.5:  # join
         edges.extend((u, v + left.n) for u in range(left.n) for v in range(right.n))
     return Trigraph(n, edges)
+
+
+def read_trigraph_two_pass(text):
+    """The trigraph reader as first written: a list of edge tuples, then Trigraph(...).
+
+    Its loop checks each edge line's ids, and Trigraph checks every pair
+    again while it builds the neighbor sets; the overlap and repeat
+    messages come from sorting the normalized pairs.
+    """
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+    n, n_black, n_red = _header(lines, "tgf", 3)
+    black, red = [], []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in ("b", "r"):
+            raise ParseError(f"malformed edge line: {line!r}")
+        try:
+            u, v = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"malformed edge line: {line!r}") from None
+        if u == v or not (0 < u <= n and 0 < v <= n):
+            raise ParseError(f"edge line {line!r} does not join two vertices of 1..{n}")
+        (black if parts[0] == "b" else red).append((u - 1, v - 1))
+    if len(black) != n_black or len(red) != n_red:
+        raise ParseError(
+            f"header declares {n_black} black / {n_red} red edges, "
+            f"found {len(black)} / {len(red)}")
+    try:
+        g = Trigraph(n, black, red)
+    except OverlapError:
+        u, v = min({(min(e), max(e)) for e in black} & {(min(e), max(e)) for e in red})
+        raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None
+    if len(g.black) + len(g.red) < n_black + n_red:
+        pairs = sorted((min(e), max(e)) for e in black + red)
+        u, v = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
+        raise ParseError(f"pair {u + 1} {v + 1} is on two edge lines")
+    return g
+
+
+def read_outcome(read, text):
+    """What a trigraph reader makes of text: (n, black_adj, red_adj), or "<error>: <message>"."""
+    try:
+        g = read(text)
+    except TwinwidthError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return g.n, g.black_adj, g.red_adj
+
+
+def mutate_trigraph_text(text, rng):
+    """One to three random faults or harmless variations of a trigraph text, by line.
+
+    Half the time the header's edge counts are then set to the counts of
+    b and r lines, so that the faults behind a count mismatch show.
+    """
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(1, len(lines) + 1)
+        edge = lines[rng.randrange(1, len(lines))].split() if len(lines) > 1 else ["b", "1", "2"]
+        tag, u, v = edge if len(edge) == 3 else ("b", "1", "2")
+        kind = rng.randrange(10)
+        if kind == 0:  # the same pair again, either way round, either color
+            lines.insert(at, " ".join([rng.choice((tag, "b", "r")), *rng.sample([u, v], 2)]))
+        elif kind == 1 and len(lines) > 1:
+            del lines[rng.randrange(1, len(lines))]
+        elif kind == 2 and len(head := lines[0].split()) == 4:  # a count off by a little
+            slot = rng.randrange(1, 4)
+            head[slot] = str(int(head[slot]) + rng.choice((-2, -1, 1)))
+            lines[0] = " ".join(head)
+        elif kind == 3:
+            lines.insert(at, rng.choice(["b 1", "x 1 2", "b 1 y", "b 1 2 3", "r 1.0 2", "b"]))
+        elif kind == 4:  # ids outside 1..n, or a loop
+            lines.insert(at, f"{tag} {rng.choice([0, n + 1, -1, u])} {u}")
+        elif kind == 5:
+            lines[at - 1] = lines[at - 1].replace(" ", "\t", rng.randint(1, 3))
+        elif kind == 6:  # the same id written differently
+            lines.insert(at, f"{tag} {rng.choice(['+', '0', ' '])}{u} {v}")
+        elif kind == 7:
+            lines.insert(at, rng.choice(["# note", "", "   ", f"{tag} {u} {v} # inline"]))
+        elif kind == 8 and len(lines) > 1:  # recolor a line
+            row = rng.randrange(1, len(lines))
+            lines[row] = {"b": "r", "r": "b"}.get(lines[row][:1], "b") + lines[row][1:]
+        else:
+            lines[0] = rng.choice(["tgf -1 0 0", "tgf 0 0 0", lines[0] + " 1", "tgf 3 0",
+                                   "tg 3 0 0"])
+    head = lines[0].split()
+    if len(head) == 4 and head[0] == "tgf" and rng.random() < 0.5:  # make the counts true
+        tags = [line.split()[:1] for line in lines[1:]]
+        lines[0] = " ".join([*head[:2], str(tags.count(["b"])), str(tags.count(["r"]))])
+    return "\n".join(lines) + rng.choice(["", "\n"])

@@ -223,9 +223,9 @@ def test_roundtrip_mincol_searches_once(monkeypatch, capsys):
     calls = []
     search = twinwidth.oracles.is_k_colorable
 
-    def recording(g, k, budget=None):
+    def recording(g, k, budget=None, **start):
         calls.append(k)
-        return search(g, k, budget)
+        return search(g, k, budget, **start)
 
     monkeypatch.setattr(twinwidth.oracles, "is_k_colorable", recording)
     monkeypatch.setattr(twinwidth.cli, "is_k_colorable", recording)

@@ -7,6 +7,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
+from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass  # noqa: E402
 
 from twinwidth import Dialect, Trigraph  # noqa: E402
 from twinwidth.errors import TwinwidthError  # noqa: E402
@@ -64,6 +65,13 @@ def test_reader_returns_a_trigraph_or_a_twinwidth_error(text):
     except TwinwidthError:
         return
     assert isinstance(g, Trigraph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trigraph_texts() | st.builds(mutate_trigraph_text, trigraphs().map(write_trigraph),
+                                    st.randoms(use_true_random=False)))
+def test_reader_matches_two_pass_reference(text):
+    assert read_outcome(read_trigraph, text) == read_outcome(read_trigraph_two_pass, text)
 
 
 # Tokens of the other formats, including ones that only look like

@@ -2,6 +2,7 @@ import random
 import time
 
 import pytest
+from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass
 
 from twinwidth import (Coloring, Dialect, Trigraph, random_formula,
                        sequence_from_vertex_merges)
@@ -61,6 +62,49 @@ def test_trigraph_comments_and_errors():
 def test_trigraph_non_integer_id():
     with pytest.raises(ParseError, match="^malformed edge line: 'b 1 x'$"):
         read_trigraph("tgf 2 1 0\nb 1 x\n")
+
+
+# (text, the start of the error both readers raise, or None when both read a graph):
+# where faults meet in one file, the first one named is the reference's
+TRIGRAPH_TEXTS = [
+    ("tgf 3 2 0\nb 1 2\nb 2 1\nb 1 x\n", "ParseError: malformed edge line: 'b 1 x'"),
+    ("tgf 3 2 1\nb 1 2\nb 1 2\nr 2 1\n", "ParseError: pair 1 2 is both a black and a red edge"),
+    ("tgf 3 1 0\nb 1 2\nr 2 1\n", "ParseError: header declares 1 black / 0 red edges, found 1 / 1"),
+    ("tgf 3 2 2\nb 3 1\nr 2 3\nb 2 3\nr 1 3\n",
+     "ParseError: pair 1 3 is both a black and a red edge"),
+    ("tgf 4 3 0\nb 3 4\nb 2 1\nb 4 3\nb 1 2\n", "ParseError: header declares 3 black"),
+    ("tgf 4 4 0\nb 3 4\nb 2 1\nb 4 3\nb 1 2\n", "ParseError: pair 1 2 is on two edge lines"),
+    ("tgf 3 1 0\nb 3 4\nb 1 2 3\n", "ParseError: edge line 'b 3 4' does not join"),
+    ("tgf -1 0 0\n", "RangeError: vertex count must be non-negative, got -1"),
+    ("tgf -1 1 0\nb 1 2\n", "ParseError: edge line 'b 1 2' does not join two vertices of 1..-1"),
+    ("tgf 0 0 0\n", None),
+    ("tgf 3 1 0\nb +3 01\n", None),
+    ("tgf\t3\t1\t1\nb\t1\t3\nr 2\t3 # note\n", None),
+]
+
+
+@pytest.mark.parametrize("text, error", TRIGRAPH_TEXTS)
+def test_trigraph_reader_matches_two_pass_reference(text, error):
+    outcome = read_outcome(read_trigraph, text)
+    assert outcome == read_outcome(read_trigraph_two_pass, text)
+    assert outcome.startswith(error) if error else isinstance(outcome, tuple)
+
+
+def test_trigraph_reader_matches_two_pass_reference_on_mutated_files():
+    rng = random.Random(15)
+    outcomes = []
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        cut = rng.randint(0, len(pairs))
+        text = mutate_trigraph_text(write_trigraph(Trigraph(n, pairs[:cut], pairs[cut:])), rng)
+        outcomes.append(read_outcome(read_trigraph, text))
+        assert outcomes[-1] == read_outcome(read_trigraph_two_pass, text), text
+    errors = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    assert len(errors) < len(outcomes)
+    for fault in ["missing 'tgf'", "malformed header", "malformed edge line", "does not join",
+                  "header declares", "both a black and a red", "on two edge lines", "non-negative"]:
+        assert any(fault in error for error in errors), fault
 
 
 def test_sequence_round_trip():

@@ -17,7 +17,7 @@ from twinwidth import (CnfFormula, Coloring, Dialect, Trigraph,
 from twinwidth import build_mincol
 from twinwidth.errors import (BudgetExceeded, DialectError, RedEdgeError,
                               UncoloredError)
-from twinwidth.oracles import greedy_clique
+from twinwidth.oracles import _base_order, greedy_clique
 
 K3 = Trigraph(3, [(0, 1), (1, 2), (0, 2)])
 C5 = Trigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -127,7 +127,7 @@ def test_greedy_clique_matches_full_scan():
         graphs.append(Trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                         if rng.random() < density]))
     for g in graphs:
-        assert greedy_clique(g) == greedy_clique_by_scan(g)
+        assert greedy_clique(g, _base_order(g)) == greedy_clique_by_scan(g)
 
 
 def test_coloring_verdicts_survive_relabeling():
@@ -387,7 +387,8 @@ def test_searches_do_not_recurse():
     cycle = Trigraph(301, [(i, (i + 1) % 301) for i in range(301)])
     clique = Trigraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
     graph = _pinned_twinwidth_graphs()["gnp-11-0.5-6"]
-    limit = sys.getrecursionlimit()
+    limit, trace = sys.getrecursionlimit(), sys.gettrace()
+    sys.settrace(None)  # a trace function would run a call deeper, past the lowered limit
     sys.setrecursionlimit(_depth() + 7)
     try:
         assert is_k_colorable(cycle, 3)[0]
@@ -395,6 +396,7 @@ def test_searches_do_not_recurse():
         assert exact_twinwidth(graph)[0] == 3
     finally:
         sys.setrecursionlimit(limit)
+        sys.settrace(trace)
 
 
 def test_no_function_calls_itself():
