@@ -9,7 +9,6 @@ bool.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 
 from .errors import DialectError, RangeError, UnusedVariableError
@@ -98,40 +97,3 @@ def nae_satisfies(formula: CnfFormula, assignment: Assignment) -> bool:
         if all(values) or not any(values):
             return False
     return True
-
-
-def random_formula(n_vars: int, n_clauses: int, dialect: Dialect,
-                   rng: random.Random) -> CnfFormula:
-    """Draw a valid random formula (every variable covered).
-
-    Needs 3 * n_clauses >= n_vars so that coverage is possible, and
-    n_vars >= 3 for the NAE dialect.
-    """
-    if 3 * n_clauses < n_vars:
-        raise ValueError("too few clauses to cover every variable")
-    if dialect is Dialect.NAE_THREE_SAT and n_vars < 3:
-        raise ValueError("NAE clauses need three distinct variables")
-    # Pre-place each variable in a random clause slot, then fill the rest.
-    slots: list[list[int]] = [[] for _ in range(n_clauses)]
-    variables = list(range(1, n_vars + 1))
-    rng.shuffle(variables)
-    open_slots = [j for j in range(n_clauses) for _ in range(3)]
-    rng.shuffle(open_slots)
-    for var, slot in zip(variables, open_slots):
-        slots[slot].append(var)
-    clauses = []
-    for j in range(n_clauses):
-        chosen = list(slots[j])
-        while len(chosen) < 3:
-            if dialect is Dialect.NAE_THREE_SAT:
-                var = rng.choice([v for v in range(1, n_vars + 1) if v not in chosen])
-            else:
-                var = rng.randint(1, n_vars)
-            chosen.append(var)
-        rng.shuffle(chosen)
-        sign = {}
-        for var in chosen:
-            if var not in sign:
-                sign[var] = rng.choice((1, -1))
-        clauses.append(tuple(sign[var] * var for var in chosen))
-    return CnfFormula(n_vars, tuple(clauses), dialect)

@@ -1,4 +1,4 @@
-"""On-disk formats: trigraphs, sequences, colorings, assignments, roles, DIMACS.
+"""On-disk formats: trigraphs and sequences, DIMACS in, colorings/assignments/roles out.
 
 All vertex and variable ids are 1-based on disk and converted exactly
 once here; writers emit a canonical ordering so a read/write cycle is
@@ -12,7 +12,7 @@ from .cnf import Clause, CnfFormula, Dialect
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import OverlapError, ParseError, SequenceError
 from .oracles import Coloring
-from .trigraph import Trigraph, VertexRole, edge_count
+from .trigraph import Trigraph, edge_count
 
 MAX_VERTICES = 2**20  # readers refuse larger headers before allocating anything
 
@@ -120,39 +120,9 @@ def write_coloring(col: Coloring) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_coloring(text: str, k: int | None = None) -> Coloring:
-    entries = {}
-    for line in _data_lines(text):
-        v, c = _ints(line.split(), 2, line, "coloring line")
-        if v - 1 in entries:
-            raise ParseError(f"vertex {v} is colored twice")
-        entries[v - 1] = c
-    if sorted(entries) != list(range(len(entries))):
-        raise ParseError("coloring vertex ids are not 1..n")
-    colors = tuple(entries[v] for v in range(len(entries)))
-    k = k if k is not None else max(colors, default=0)
-    for v, c in enumerate(colors):
-        if not 1 <= c <= k:
-            raise ParseError(f"vertex {v + 1} has color {c}, outside 1..{k}")
-    return Coloring(colors, k)
-
-
 def write_assignment(assignment: dict[int, bool]) -> str:
     lines = [f"{v} {int(assignment[v])}" for v in sorted(assignment)]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_assignment(text: str) -> dict[int, bool]:
-    out = {}
-    for line in _data_lines(text):
-        parts = line.split()
-        var, _ = _ints(parts, 2, line, "assignment line")
-        if var < 1 or parts[1] not in ("0", "1"):
-            raise ParseError(f"malformed assignment line: {line!r}")
-        if var in out:
-            raise ParseError(f"variable {var} is assigned twice")
-        out[var] = parts[1] == "1"
-    return out
 
 
 # --- role file ---------------------------------------------------------------
@@ -160,19 +130,6 @@ def read_assignment(text: str) -> dict[int, bool]:
 def write_roles(g: Trigraph) -> str:
     lines = [f"{v + 1} {g.labels[v]}" for v in sorted(g.labels)]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def read_roles(text: str) -> dict[int, VertexRole]:
-    out = {}
-    for line in _data_lines(text):
-        vid, *role = line.split()
-        (v,) = _ints([vid], 1, line, "role line")
-        if v < 1 or not role:
-            raise ParseError(f"malformed role line: {line!r}")
-        if v - 1 in out:
-            raise ParseError(f"vertex {v} has two role lines")
-        out[v - 1] = VertexRole.parse(" ".join(role))
-    return out
 
 
 # --- DIMACS CNF ----------------------------------------------------------------
@@ -225,9 +182,3 @@ def parse_dimacs_cnf(text: str, dialect: Dialect = Dialect.THREE_SAT) -> CnfForm
             if not 1 <= abs(lit) <= n_vars:
                 raise ParseError(f"literal {lit} out of range for {n_vars} variables")
     return CnfFormula(n_vars, tuple(clauses), dialect)
-
-
-def write_dimacs_cnf(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.n_vars} {formula.n_clauses}"]
-    lines.extend(" ".join(map(str, clause)) + " 0" for clause in formula.clauses)
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,7 @@ from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import (DialectError, NotProperError, NotSatisfyingError,
                      StructureError, TooFewVariablesError, TooManyColorsError)
 from .oracles import Coloring, is_proper
-from .trigraph import Trigraph, VertexRole
+from .trigraph import Trigraph
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     labels = {}
     for i in range(1, p + 1):
         for j in range(1, width + 1):
-            labels[a(i, j)] = VertexRole("A", (i, j))
-            labels[b(i, j)] = VertexRole("B", (i, j))
-        labels[v(i)] = VertexRole("V", (i,))
+            labels[a(i, j)] = f"A {i} {j}"
+            labels[b(i, j)] = f"B {i} {j}"
+        labels[v(i)] = f"V {i}"
 
     return replace(layout, graph=Trigraph._from_lists(len(adj), adj, [()] * len(adj), labels))
 

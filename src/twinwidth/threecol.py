@@ -23,7 +23,7 @@ from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import (DialectError, KRangeError, NotNaeSatisfyingError,
                      NotProperError, StructureError, TooManyColorsError)
 from .oracles import Coloring, is_proper
-from .trigraph import Trigraph, VertexRole
+from .trigraph import Trigraph
 
 _SLOTS = ("u", "v", "w")
 # lift_to_k adds k-3 pairwise-adjacent vertices, each joined to the whole
@@ -84,8 +84,8 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
         raise DialectError("need at least one variable and one clause")
     subdivisions = subdivision_positions(formula)
 
-    labels: dict[int, VertexRole] = {}
-    edges: list[tuple[int, int]] = []
+    adj: list = [[] for _ in range(n * m + len(subdivisions) + 3 * m + 1)]  # neighbor lists
+    labels: dict[int, str] = {}
     next_id = 0
     path_orders: list[tuple[int, ...]] = []
     path_at: dict[tuple[int, int], int] = {}
@@ -94,32 +94,37 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
         order = []
         for j in range(1, m + 1):
             if (i, j) in subdivisions:
-                labels[next_id] = VertexRole("S", (i, j))
+                labels[next_id] = f"S {i} {j}"
                 subdiv_at[(i, j)] = next_id
                 order.append(next_id)
                 next_id += 1
-            labels[next_id] = VertexRole("P", (i, j))
+            labels[next_id] = f"P {i} {j}"
             path_at[(i, j)] = next_id
             order.append(next_id)
             next_id += 1
-        edges.extend((u, v) for u, v in zip(order, order[1:]))
+        for u, v in zip(order, order[1:]):
+            adj[u].append(v)
+            adj[v].append(u)
         path_orders.append(tuple(order))
 
     for j in range(1, m + 1):
         u, v, w = next_id, next_id + 1, next_id + 2
         for vid, slot in zip((u, v, w), _SLOTS):
-            labels[vid] = VertexRole("T", (j, slot))
-        edges.extend([(u, v), (v, w), (u, w)])
+            labels[vid] = f"T {j} {slot}"
+        adj[u], adj[v], adj[w] = [v, w], [u, w], [v, u]
         next_id += 3
         for slot_id, lit in zip((u, v, w), formula.clauses[j - 1]):
-            edges.append((slot_id, path_at[(abs(lit), j)]))
+            x = path_at[(abs(lit), j)]
+            adj[slot_id].append(x)
+            adj[x].append(slot_id)
 
     hub = next_id
-    labels[hub] = VertexRole("Z")
-    for order in path_orders:
-        edges.extend((hub, vid) for vid in order)
+    labels[hub] = "Z"
+    adj[hub] = [vid for order in path_orders for vid in order]
+    for vid in adj[hub]:
+        adj[vid].append(hub)
 
-    graph = Trigraph(hub + 1, edges, (), labels)
+    graph = Trigraph._from_lists(len(adj), adj, [()] * len(adj), labels)
     return ThreeColInstance(formula, n, m, graph, tuple(path_orders), path_at, subdiv_at)
 
 
@@ -235,7 +240,7 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequen
     adj = [[*nbrs, *universal] for nbrs in base.black_adj]
     adj += [[*range(u), *range(u + 1, total)] for u in universal]
     labels = dict(base.labels)
-    labels.update((u, VertexRole("U", (u - base.n + 1,))) for u in universal)
+    labels.update((u, f"U {u - base.n + 1}") for u in universal)
     graph = Trigraph._from_lists(total, adj, [()] * total, labels)
 
     # Canonical as it stands: the base steps are canonical and end in part 0,

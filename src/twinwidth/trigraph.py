@@ -9,44 +9,12 @@ operations here return fresh objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import LoopError, OverlapError, PartitionError, RangeError
 
 Edge = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class VertexRole:
-    """Names a vertex by its role in a generated instance, e.g. A(2,5).
-
-    Pure metadata for tests, role files and reports; no graph algorithm
-    reads it.  Kinds: A/B (block vertices), V (gadget apex), T (clause
-    triangle, coords (j, slot) with slot in u/v/w), P (variable-path
-    vertex), S (subdivision vertex), Z (the hub), U (universal vertex).
-    """
-
-    kind: str
-    coords: tuple = ()
-
-    def __str__(self) -> str:
-        return " ".join([self.kind, *map(str, self.coords)])
-
-    @classmethod
-    def parse(cls, text: str) -> "VertexRole":
-        """Inverse of str(): a coordinate is an int exactly when str() writes it so."""
-        parts = text.split()
-        return cls(parts[0], tuple(map(_coordinate, parts[1:])))
-
-
-def _coordinate(token: str) -> int | str:
-    try:
-        value = int(token)
-    except ValueError:
-        return token
-    return value if str(value) == token else token
 
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()
@@ -77,7 +45,7 @@ class Trigraph:
     """Vertex set 0..n-1 with disjoint black and red neighbor sets `black_adj`, `red_adj`."""
 
     def __init__(self, n: int, black: Iterable[Edge] = (), red: Iterable[Edge] = (),
-                 labels: Mapping[int, VertexRole] | None = None):
+                 labels: Mapping[int, str] | None = None):
         self._adopt(n, _neighbor_lists(n, black, "black"), _neighbor_lists(n, red, "red"), labels)
 
     @classmethod
@@ -101,7 +69,7 @@ class Trigraph:
         self.n, self.black_adj, self.red_adj = n, tuple(black), tuple(red)
         if not all(map(frozenset.isdisjoint, self.black_adj, self.red_adj)):
             raise OverlapError(f"edges both black and red: {sorted(self.black & self.red)}")
-        self.labels: dict[int, VertexRole] = dict(labels) if labels else {}
+        self.labels: dict[int, str] = dict(labels) if labels else {}  # role text, e.g. "A 2 5"
 
     @property
     def black(self) -> frozenset[Edge]:

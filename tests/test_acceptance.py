@@ -14,7 +14,8 @@ from contextlib import contextmanager
 import pytest
 
 from corpus import (exhaustive_threesat_corpus, random_nae_corpus,
-                    random_threesat_corpus, structured_nae_corpus)
+                    random_formula, random_threesat_corpus,
+                    structured_nae_corpus)
 from reference import pair_colors, random_cograph, redify
 from twinwidth import (ContractionState, Dialect, Partition, Trigraph,
                        build_3col, build_3col_4sequence, build_mincol,
@@ -22,7 +23,7 @@ from twinwidth import (ContractionState, Dialect, Partition, Trigraph,
                        exact_twinwidth, is_k_colorable, is_proper, lift_to_k,
                        mincol_assignment_from_coloring,
                        mincol_coloring_from_assignment, quotient,
-                       random_formula, satisfies, solve_nae,
+                       satisfies, solve_nae,
                        solve_sat, threecol_coloring_from_assignment,
                        verify_d_sequence)
 from conftest import NAE_DEMO_SUBDIVISIONS

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from twinwidth import CnfFormula, Dialect, nae_satisfies, random_formula, satisfies
+from corpus import random_formula
+from twinwidth import CnfFormula, Dialect, nae_satisfies, satisfies
 from twinwidth.errors import DialectError, RangeError, UnusedVariableError
 
 

@@ -11,8 +11,7 @@ from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass
 
 from twinwidth import Dialect, Trigraph  # noqa: E402
 from twinwidth.errors import TwinwidthError  # noqa: E402
-from twinwidth.formats import (parse_dimacs_cnf, read_assignment,  # noqa: E402
-                               read_coloring, read_roles, read_sequence,
+from twinwidth.formats import (parse_dimacs_cnf, read_sequence,  # noqa: E402
                                read_trigraph, write_trigraph)
 
 
@@ -83,9 +82,6 @@ OTHER_LINES = st.lists(OTHER_TOKENS, max_size=5).map(" ".join)
 ID_LINES = st.tuples(IDS, OTHER_LINES).map(" ".join)
 READERS = {
     "sequence": read_sequence,
-    "coloring": read_coloring,
-    "assignment": read_assignment,
-    "roles": read_roles,
     "cnf": parse_dimacs_cnf,
     "nae": lambda text: parse_dimacs_cnf(text, Dialect.NAE_THREE_SAT),
 }

@@ -4,15 +4,12 @@ import time
 import pytest
 from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass
 
-from twinwidth import (Coloring, Dialect, Trigraph, random_formula,
-                       sequence_from_vertex_merges)
+from corpus import random_formula
+from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
 from twinwidth.errors import DialectError, ParseError, UnusedVariableError
-from twinwidth.formats import (parse_dimacs_cnf, read_assignment,
-                               read_coloring, read_roles, read_sequence,
-                               read_trigraph, write_assignment,
-                               write_coloring, write_dimacs_cnf, write_roles,
+from twinwidth.formats import (parse_dimacs_cnf, read_sequence, read_trigraph,
+                               write_assignment, write_coloring, write_roles,
                                write_sequence, write_trigraph)
-from twinwidth.trigraph import VertexRole
 
 
 def test_trigraph_round_trip_bit_exact():
@@ -134,54 +131,17 @@ def test_sequence_round_trip():
 
 
 def test_coloring_round_trip():
-    col = Coloring((2, 1, 3, 1), 3)
-    text = write_coloring(col)
-    assert text == "1 2\n2 1\n3 3\n4 1\n"
-    assert read_coloring(text, k=3) == col
-    with pytest.raises(ParseError):
-        read_coloring("1 2\n3 1\n")
-    with pytest.raises(ParseError):
-        read_coloring("1 x\n")
-    with pytest.raises(ParseError, match="vertex 1 has color 0"):
-        read_coloring("1 0\n")
-    with pytest.raises(ParseError, match="vertex 2 has color 4, outside 1..3"):
-        read_coloring("1 1\n2 4\n", k=3)
-    with pytest.raises(ParseError, match="vertex 1 is colored twice"):
-        read_coloring("1 1\n1 2\n2 1\n")
+    assert write_coloring(Coloring((2, 1, 3, 1), 3)) == "1 2\n2 1\n3 3\n4 1\n"
 
 
 def test_assignment_round_trip():
-    a = {1: True, 2: False, 3: True}
-    text = write_assignment(a)
-    assert text == "1 1\n2 0\n3 1\n"
-    assert read_assignment(text) == a
-    with pytest.raises(ParseError):
-        read_assignment("1 2\n")
-    with pytest.raises(ParseError):
-        read_assignment("x 1\n")
-    with pytest.raises(ParseError):
-        read_assignment("0 1\n")
-    with pytest.raises(ParseError, match="variable 1 is assigned twice"):
-        read_assignment("1 1\n1 0\n")
+    assert write_assignment({3: True, 1: True, 2: False}) == "1 1\n2 0\n3 1\n"
 
 
 def test_roles_round_trip():
-    g = Trigraph(3, [(0, 1)], labels={
-        0: VertexRole("A", (2, 5)), 1: VertexRole("Z"), 2: VertexRole("T", (1, "u"))})
-    text = write_roles(g)
-    assert "1 A 2 5" in text and "2 Z" in text and "3 T 1 u" in text
-    assert read_roles(text) == g.labels
-    for bad in ("x A 1 1\n", "0 Z\n", "3\n"):
-        with pytest.raises(ParseError):
-            read_roles(bad)
-    with pytest.raises(ParseError, match="vertex 1 has two role lines"):
-        read_roles("1 A 1 1\n1 B 2 2\n")
-    # a coordinate is an int only when it reads back as written
-    for text, coords in (("1 A --5\n", ("--5",)), ("1 A \u00b2\n", ("\u00b2",)),
-                         ("1 A -3 007\n", (-3, "007"))):
-        roles = read_roles(text)
-        assert roles == {0: VertexRole("A", coords)}
-        assert write_roles(Trigraph(1, labels=roles)) == text
+    g = Trigraph(3, [(0, 1)], labels={2: "T 1 u", 0: "A 2 5", 1: "Z"})
+    assert write_roles(g) == "1 A 2 5\n2 Z\n3 T 1 u\n"
+    assert write_roles(Trigraph(2)) == ""
 
 
 def test_parse_dimacs_demo():
@@ -190,7 +150,6 @@ def test_parse_dimacs_demo():
     assert f.n_vars == 3
     assert f.clauses == ((1, -2, 3), (-1, 2, -3))
     assert f.dialect is Dialect.THREE_SAT
-    assert write_dimacs_cnf(f) == "p cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
 
 
 def test_parse_dimacs_dialect_flag_not_content():
@@ -232,9 +191,10 @@ def test_parse_dimacs_multiline_clauses():
 
 def test_parse_dimacs_one_line_is_not_quadratic():
     f = random_formula(200, 20_000, Dialect.THREE_SAT, random.Random(13))
-    per_line = write_dimacs_cnf(f)
-    header, body = per_line.split("\n", 1)
-    one_line = header + "\n" + body.replace("\n", " ") + "\n"
+    header = f"p cnf {f.n_vars} {f.n_clauses}"
+    clause_lines = [" ".join(map(str, clause)) + " 0" for clause in f.clauses]
+    per_line = "\n".join([header, *clause_lines]) + "\n"
+    one_line = header + "\n" + " ".join(clause_lines) + "\n"
     assert len(one_line.splitlines()) == 2
 
     def best_parse_s(text):

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from corpus import random_formula
 from twinwidth import (CnfFormula, Coloring, Dialect, build_mincol,
                        build_mincol_3sequence, is_k_colorable, is_proper,
                        mincol_assignment_from_coloring,
-                       mincol_coloring_from_assignment, random_formula,
-                       replay, satisfies, sequence_from_vertex_merges,
-                       solve_sat, verify_d_sequence)
+                       mincol_coloring_from_assignment, replay, satisfies,
+                       sequence_from_vertex_merges, solve_sat,
+                       verify_d_sequence)
 from twinwidth.errors import (DialectError, NotProperError,
                               NotSatisfyingError, TooFewVariablesError,
                               TooManyColorsError)

@@ -5,14 +5,14 @@ import sys
 
 import pytest
 
-from corpus import random_threesat_corpus
+from corpus import random_formula, random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, random_cograph)
 from reference import backtrack_solve, greedy_clique_by_scan, redify
 import twinwidth
 from twinwidth import (CnfFormula, Coloring, Dialect, Trigraph,
                        chromatic_number, exact_twinwidth, is_k_colorable,
-                       is_proper, nae_satisfies, random_formula, satisfies,
+                       is_proper, nae_satisfies, satisfies,
                        solve_nae, solve_sat, verify_d_sequence)
 from twinwidth import build_mincol
 from twinwidth.errors import (BudgetExceeded, DialectError, RedEdgeError,

@@ -7,10 +7,10 @@ certified width and its colorability verdict.
 
 import random
 
+from corpus import random_formula
 from twinwidth import (CnfFormula, Dialect, build_3col, build_3col_4sequence,
                        build_mincol, build_mincol_3sequence, is_k_colorable,
-                       random_formula, solve_nae, solve_sat,
-                       verify_d_sequence)
+                       solve_nae, solve_sat, verify_d_sequence)
 from twinwidth.trigraph import edge_count
 
 COLOR_BUDGET = 50_000_000

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from conftest import NAE_DEMO_SUBDIVISIONS
-from corpus import nae_unsat_formula
+from corpus import nae_unsat_formula, random_formula
 from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
                        build_3col_4sequence, is_k_colorable, is_proper,
-                       lift_to_k, nae_satisfies, random_formula,
-                       solve_nae, subdivision_positions,
-                       threecol_assignment_from_coloring,
+                       lift_to_k, nae_satisfies, solve_nae,
+                       subdivision_positions, threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment, verify_d_sequence)
 from twinwidth.errors import (DialectError, KRangeError,
                               NotNaeSatisfyingError, NotProperError,

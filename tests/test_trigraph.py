@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reference import all_graphs, all_partitions, quotient_by_definition, redify
-from twinwidth import ContractionState, Partition, Trigraph, VertexRole, quotient
+from twinwidth import ContractionState, Partition, Trigraph, quotient
 from twinwidth.errors import (LoopError, OverlapError, PartitionError,
                               RangeError)
 
@@ -161,9 +161,3 @@ def test_redify():
     assert not r.black and r.red == {(0, 1), (1, 2)}
     again = redify(r)
     assert again.red == r.red and not again.black
-
-
-def test_vertex_role_round_trip():
-    for role in (VertexRole("A", (2, 5)), VertexRole("T", (3, "u")),
-                 VertexRole("Z"), VertexRole("V", (7,))):
-        assert VertexRole.parse(str(role)) == role
