@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DialectError, RangeError, UnusedVariableError
+from .errors import TwinwidthError
 
 Clause = tuple[int, int, int]
 Assignment = dict[int, bool]
@@ -40,24 +40,24 @@ class CnfFormula:
 
     def __post_init__(self):
         if self.n_vars < 0:
-            raise RangeError(f"variable count must be non-negative, got {self.n_vars}")
+            raise TwinwidthError(f"variable count must be non-negative, got {self.n_vars}")
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         seen: set[int] = set()
         for clause in self.clauses:
             if len(clause) != 3:
-                raise DialectError(f"clause {clause} does not have exactly 3 literals")
+                raise TwinwidthError(f"clause {clause} does not have exactly 3 literals")
             variables = [abs(lit) for lit in clause]
             for lit, var in zip(clause, variables):
                 if lit == 0 or not 1 <= var <= self.n_vars:
-                    raise RangeError(f"literal {lit} out of range for {self.n_vars} variables")
+                    raise TwinwidthError(f"literal {lit} out of range for {self.n_vars} variables")
             if self.dialect is Dialect.NAE_THREE_SAT and len(set(variables)) != 3:
-                raise DialectError(f"NAE clause {clause} repeats a variable")
+                raise TwinwidthError(f"NAE clause {clause} repeats a variable")
             if len({(v, lit > 0) for v, lit in zip(variables, clause)}) != len(set(variables)):
-                raise DialectError(f"clause {clause} contains a variable and its negation")
+                raise TwinwidthError(f"clause {clause} contains a variable and its negation")
             seen.update(variables)
         for var in range(1, self.n_vars + 1):
             if var not in seen:
-                raise UnusedVariableError(f"variable {var} occurs in no clause")
+                raise TwinwidthError(f"variable {var} occurs in no clause")
 
     @property
     def n_clauses(self) -> int:

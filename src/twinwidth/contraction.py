@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import PartialSequenceError, SequenceError
+from .errors import SequenceError
 from .trigraph import Trigraph
 
 
@@ -208,7 +208,7 @@ def verify_d_sequence(g: Trigraph, seq: PartitionSequence, d: int) -> tuple[bool
     """True iff seq is a full sequence of width at most d; profile always returned."""
     # A sequence for another n is left to replay's size error, which is the real fault.
     if seq.n == g.n and not seq.is_full:
-        raise PartialSequenceError(
+        raise SequenceError(
             f"need a full sequence ({g.n - 1} steps), got {len(seq.steps)}")
     profile = replay(g, seq)
     return profile.overall_width <= d, profile

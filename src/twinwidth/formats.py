@@ -39,6 +39,8 @@ def _header(lines: list[str], tag: str, count: int) -> list[int]:
     if not lines or not lines[0].startswith(tag):
         raise ParseError(f"missing '{tag}' header")
     values = _ints(lines[0].split()[1:], count, lines[0], "header")
+    if values[0] < 0:
+        raise ParseError(f"vertex count must be non-negative, got {values[0]}")
     if values[0] > MAX_VERTICES:
         raise ParseError(f"header declares {values[0]} vertices, above the cap of {MAX_VERTICES}")
     return values

@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 from .cnf import Assignment, CnfFormula, Dialect, literal_value, satisfies
 from .contraction import PartitionSequence, sequence_from_vertex_merges
-from .errors import (DialectError, NotProperError, NotSatisfyingError,
-                     StructureError, TooFewVariablesError, TooManyColorsError)
+from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
 from .trigraph import Trigraph
 
@@ -50,10 +49,10 @@ class MinColInstance:
 def build_mincol(formula: CnfFormula) -> MinColInstance:
     """Build the block graph for a 3-SAT formula with n >= 2 variables."""
     if formula.dialect is not Dialect.THREE_SAT:
-        raise DialectError("the coloring-number reduction takes 3-SAT input")
+        raise TwinwidthError("the coloring-number reduction takes 3-SAT input")
     n, m = formula.n_vars, formula.n_clauses
     if n < 2:
-        raise TooFewVariablesError("need at least two variables")
+        raise TwinwidthError("need at least two variables")
     p = 2 * n + m
     width = 2 * n
     side = width * p
@@ -128,7 +127,7 @@ def mincol_coloring_from_assignment(inst: MinColInstance, assignment: Assignment
     satisfied literal on clause blocks.
     """
     if not satisfies(inst.formula, assignment):
-        raise NotSatisfyingError("assignment does not satisfy the formula")
+        raise TwinwidthError("assignment does not satisfy the formula")
     n, p, width = inst.n, inst.p, 2 * inst.n
     colors = [0] * inst.graph.n
     for i in range(1, p + 1):
@@ -155,10 +154,9 @@ def mincol_assignment_from_coloring(inst: MinColInstance, col: Coloring) -> Assi
     """
     width = 2 * inst.n
     if max(col.colors) > width:
-        raise TooManyColorsError(
-            f"coloring uses color {max(col.colors)}, budget is {width}")
+        raise TwinwidthError(f"coloring uses color {max(col.colors)}, budget is {width}")
     if not is_proper(inst.graph, col):
-        raise NotProperError("coloring is not proper")
+        raise TwinwidthError("coloring is not proper")
     # B_1 is a clique, so a proper coloring gives its columns distinct colors
     perm = {col.colors[inst.b(1, j)]: j for j in range(1, width + 1)}
     normalized = [perm[c] for c in col.colors]
@@ -167,11 +165,11 @@ def mincol_assignment_from_coloring(inst: MinColInstance, col: Coloring) -> Assi
     for j in range(1, inst.n + 1):
         pair = {normalized[inst.a(1, 2 * j - 1)], normalized[inst.a(1, 2 * j)]}
         if pair != {2 * j - 1, 2 * j}:
-            raise StructureError(f"A-column pair for variable {j} is {pair}")
+            raise TwinwidthError(f"A-column pair for variable {j} is {pair}")
         assignment[j] = normalized[inst.a(1, 2 * j - 1)] == 2 * j - 1
         for i in range(2, inst.p + 1):
             if normalized[inst.a(i, 2 * j - 1)] != normalized[inst.a(1, 2 * j - 1)]:
-                raise StructureError(f"column colors depend on the block index at ({i},{j})")
+                raise TwinwidthError(f"column colors depend on the block index at ({i},{j})")
     if not satisfies(inst.formula, assignment):
-        raise StructureError("extracted assignment does not satisfy the formula")
+        raise TwinwidthError("extracted assignment does not satisfy the formula")
     return assignment

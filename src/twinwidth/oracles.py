@@ -15,8 +15,7 @@ from itertools import combinations, count
 
 from .cnf import Assignment, CnfFormula, Dialect
 from .contraction import ContractionState, PartitionSequence, sequence_from_vertex_merges
-from .errors import (BudgetExceeded, DialectError, RedEdgeError,
-                     UncoloredError)
+from .errors import BudgetExceeded, TwinwidthError
 from .trigraph import Trigraph
 
 
@@ -31,15 +30,15 @@ class Coloring:
         object.__setattr__(self, "colors", tuple(self.colors))
         for v, c in enumerate(self.colors):
             if not 1 <= c <= self.k:
-                raise ValueError(f"vertex {v} has color {c}, outside 1..{self.k}")
+                raise TwinwidthError(f"vertex {v} has color {c}, outside 1..{self.k}")
 
 
 def is_proper(g: Trigraph, col: Coloring) -> bool:
     """True iff no black edge is monochromatic.  Plain graphs only."""
     if any(g.red_adj):
-        raise RedEdgeError("propriety is defined for plain graphs (no red edges)")
+        raise TwinwidthError("propriety is defined for plain graphs (no red edges)")
     if len(col.colors) != g.n:
-        raise UncoloredError(f"coloring has {len(col.colors)} entries, graph has {g.n} vertices")
+        raise TwinwidthError(f"coloring has {len(col.colors)} entries, graph has {g.n} vertices")
     colors = col.colors
     return all(colors[u] != colors[v] for u, nbrs in enumerate(g.black_adj) for v in nbrs)
 
@@ -111,7 +110,7 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
     when the caller has computed them already.
     """
     if any(g.red_adj):
-        raise RedEdgeError("colorability is defined for plain graphs")
+        raise TwinwidthError("colorability is defined for plain graphs")
     n = g.n
     if n == 0:
         return True, Coloring((), max(k, 0))
@@ -281,7 +280,7 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
     and the first success is the witness.
     """
     if any(g.red_adj):
-        raise RedEdgeError("chromatic number is defined for plain graphs")
+        raise TwinwidthError("chromatic number is defined for plain graphs")
     if g.n == 0:
         return 0, Coloring((), 0)
     order = _base_order(g)
@@ -421,12 +420,12 @@ def _solve_cnf(formula: CnfFormula) -> Assignment | None:
 def solve_sat(formula: CnfFormula) -> Assignment | None:
     """Lexicographically smallest satisfying assignment, or None."""
     if formula.dialect is not Dialect.THREE_SAT:
-        raise DialectError("solve_sat expects the 3-SAT dialect")
+        raise TwinwidthError("solve_sat expects the 3-SAT dialect")
     return _solve_cnf(formula)
 
 
 def solve_nae(formula: CnfFormula) -> Assignment | None:
     """Lexicographically smallest NAE-satisfying assignment, or None."""
     if formula.dialect is not Dialect.NAE_THREE_SAT:
-        raise DialectError("solve_nae expects the NAE-3-SAT dialect")
+        raise TwinwidthError("solve_nae expects the NAE-3-SAT dialect")
     return _solve_cnf(formula)

@@ -20,8 +20,7 @@ from typing import Mapping
 from .cnf import (Assignment, CnfFormula, Dialect, literal_value,
                   nae_satisfies)
 from .contraction import PartitionSequence, sequence_from_vertex_merges
-from .errors import (DialectError, KRangeError, NotNaeSatisfyingError,
-                     NotProperError, StructureError, TooManyColorsError)
+from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
 from .trigraph import Trigraph
 
@@ -40,7 +39,7 @@ def subdivision_positions(formula: CnfFormula) -> set[tuple[int, int]]:
     wrong.
     """
     if formula.dialect is not Dialect.NAE_THREE_SAT:
-        raise DialectError("subdivision positions are defined for NAE input")
+        raise TwinwidthError("subdivision positions are defined for NAE input")
     out: set[tuple[int, int]] = set()
     for i in range(1, formula.n_vars + 1):
         occ = formula.occurrences(i)
@@ -78,10 +77,10 @@ class ThreeColInstance:
 def build_3col(formula: CnfFormula) -> ThreeColInstance:
     """Build the triangle/path/hub graph for a NAE-3-SAT formula."""
     if formula.dialect is not Dialect.NAE_THREE_SAT:
-        raise DialectError("the 3-coloring reduction takes NAE-3-SAT input")
+        raise TwinwidthError("the 3-coloring reduction takes NAE-3-SAT input")
     n, m = formula.n_vars, formula.n_clauses
     if n < 1 or m < 1:
-        raise DialectError("need at least one variable and one clause")
+        raise TwinwidthError("need at least one variable and one clause")
     subdivisions = subdivision_positions(formula)
 
     adj: list = [[] for _ in range(n * m + len(subdivisions) + 3 * m + 1)]  # neighbor lists
@@ -162,7 +161,7 @@ def threecol_coloring_from_assignment(inst: ThreeColInstance,
     lowest differing path neighbors and parks color 3 on the third.
     """
     if not nae_satisfies(inst.formula, assignment):
-        raise NotNaeSatisfyingError("assignment does not NAE-satisfy the formula")
+        raise TwinwidthError("assignment does not NAE-satisfy the formula")
     colors = [0] * inst.graph.n
     colors[inst.z] = 3
     for i in range(1, inst.n + 1):
@@ -192,9 +191,9 @@ def threecol_assignment_from_coloring(inst: ThreeColInstance,
     paths then live in {1, 2} and occurrence colors read off signs.
     """
     if max(col.colors) > 3:
-        raise TooManyColorsError(f"coloring uses color {max(col.colors)}, budget is 3")
+        raise TwinwidthError(f"coloring uses color {max(col.colors)}, budget is 3")
     if not is_proper(inst.graph, col):
-        raise NotProperError("coloring is not proper")
+        raise TwinwidthError("coloring is not proper")
     c_hub = col.colors[inst.z]
     c_first = col.colors[inst.path_vertex(1, 1)]
     perm = {c_hub: 3, c_first: 1}
@@ -209,13 +208,13 @@ def threecol_assignment_from_coloring(inst: ThreeColInstance,
             by_sign[sign].add(normalized[inst.path_vertex(i, j)])
         if len(by_sign[True]) > 1 or len(by_sign[False]) > 1 or \
                 (by_sign[True] and by_sign[True] == by_sign[False]):
-            raise StructureError(f"occurrence colors of variable {i} violate parity")
+            raise TwinwidthError(f"occurrence colors of variable {i} violate parity")
         if by_sign[True]:
             assignment[i] = by_sign[True] == {1}
         else:
             assignment[i] = not (by_sign[False] == {1})
     if not nae_satisfies(inst.formula, assignment):
-        raise StructureError("extracted assignment does not NAE-satisfy the formula")
+        raise TwinwidthError("extracted assignment does not NAE-satisfy the formula")
     return assignment
 
 
@@ -230,9 +229,9 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequen
     unchanged.  k must lie in 3..MAX_K.
     """
     if k < 3:
-        raise KRangeError(f"k must be at least 3, got {k}")
+        raise TwinwidthError(f"k must be at least 3, got {k}")
     if k > MAX_K:
-        raise KRangeError(f"k must be at most {MAX_K}, got {k}")
+        raise TwinwidthError(f"k must be at most {MAX_K}, got {k}")
     base = inst.graph
     extra = k - 3
     total = base.n + extra

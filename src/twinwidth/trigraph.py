@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .errors import LoopError, OverlapError, PartitionError, RangeError
+from .errors import OverlapError, TwinwidthError
 
 Edge = tuple[int, int]
 
@@ -24,9 +24,9 @@ def _neighbor_lists(n: int, pairs: Iterable[Edge], kind: str) -> list:
     adj: list = [[] for _ in range(n)]
     for u, v in pairs:
         if u == v:
-            raise LoopError(f"{kind} edge ({u},{v}) is a self-loop")
+            raise TwinwidthError(f"{kind} edge ({u},{v}) is a self-loop")
         if not (0 <= u < n and 0 <= v < n):
-            raise RangeError(f"{kind} edge ({u},{v}) out of range for n={n}")
+            raise TwinwidthError(f"{kind} edge ({u},{v}) out of range for n={n}")
         adj[u].append(v)
         adj[v].append(u)
     return adj
@@ -60,7 +60,7 @@ class Trigraph:
 
     def _adopt(self, n: int, black: list, red: list, labels) -> None:
         if n < 0:
-            raise RangeError(f"vertex count must be non-negative, got {n}")
+            raise TwinwidthError(f"vertex count must be non-negative, got {n}")
         # In place, also when the sides overlap, so one copy is alive;
         # every empty side shares one set.
         for adj in (black, red):
@@ -92,16 +92,16 @@ class Partition:
         part_of: list[int] = [-1] * n
         for idx, part in enumerate(self.parts):
             if not part:
-                raise PartitionError("empty part")
+                raise TwinwidthError("empty part")
             for v in part:
                 if not 0 <= v < n:
-                    raise PartitionError(f"vertex {v} out of range for n={n}")
+                    raise TwinwidthError(f"vertex {v} out of range for n={n}")
                 if part_of[v] != -1:
-                    raise PartitionError(f"vertex {v} in two parts")
+                    raise TwinwidthError(f"vertex {v} in two parts")
                 part_of[v] = idx
         if any(idx == -1 for idx in part_of):
             missing = [v for v, idx in enumerate(part_of) if idx == -1]
-            raise PartitionError(f"vertices not covered: {missing}")
+            raise TwinwidthError(f"vertices not covered: {missing}")
 
 
 def quotient(g: Trigraph, p: Partition) -> Trigraph:
@@ -112,7 +112,7 @@ def quotient(g: Trigraph, p: Partition) -> Trigraph:
     black, some pair not adjacent); otherwise not adjacent.
     """
     if p.n != g.n:
-        raise PartitionError(f"partition is over {p.n} vertices, trigraph has {g.n}")
+        raise TwinwidthError(f"partition is over {p.n} vertices, trigraph has {g.n}")
     black_pairs, red_pairs = [], []
     for (i, part_i), (j, part_j) in combinations(enumerate(p.parts), 2):
         blacks = reds = 0

@@ -11,7 +11,7 @@ import twinwidth.formats
 import twinwidth.oracles
 from twinwidth import Coloring
 from twinwidth.cli import main
-from twinwidth.errors import StructureError
+from twinwidth.errors import TwinwidthError
 from twinwidth.formats import read_sequence, read_trigraph
 
 DEMO_SAT = "c demo\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n"
@@ -266,7 +266,7 @@ def _one_color_short(real, inst, model):
 
 
 def _parity_error(real, inst, col):
-    raise StructureError("occurrence colors of variable 1 violate parity")
+    raise TwinwidthError("occurrence colors of variable 1 violate parity")
 
 
 ROUNDTRIP_MINCOL = ["roundtrip", "--mincol", str(DATA / "demo3sat.cnf")]

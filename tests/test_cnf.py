@@ -4,7 +4,7 @@ import pytest
 
 from corpus import random_formula
 from twinwidth import CnfFormula, Dialect, nae_satisfies, satisfies
-from twinwidth.errors import DialectError, RangeError, UnusedVariableError
+from twinwidth.errors import TwinwidthError
 
 
 def test_valid_formula():
@@ -19,26 +19,26 @@ def test_repeated_literal_allowed_in_threesat():
 
 
 def test_nae_needs_distinct_variables():
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="repeats a variable"):
         CnfFormula(2, ((1, 1, 2),), Dialect.NAE_THREE_SAT)
 
 
 def test_tautological_clause_rejected():
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="contains a variable and its negation"):
         CnfFormula(2, ((1, -1, 2),), Dialect.THREE_SAT)
 
 
 def test_every_variable_must_occur():
-    with pytest.raises(UnusedVariableError):
+    with pytest.raises(TwinwidthError, match="variable 4 occurs in no clause"):
         CnfFormula(4, ((1, 2, 3),), Dialect.THREE_SAT)
 
 
 def test_range_and_arity():
-    with pytest.raises(RangeError):
+    with pytest.raises(TwinwidthError, match="literal 3 out of range for 2 variables"):
         CnfFormula(2, ((1, 2, 3),), Dialect.THREE_SAT)
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="does not have exactly 3 literals"):
         CnfFormula(2, ((1, 2),), Dialect.THREE_SAT)
-    with pytest.raises(RangeError, match="non-negative"):
+    with pytest.raises(TwinwidthError, match="non-negative"):
         CnfFormula(-1, ())
 
 

@@ -8,7 +8,7 @@ from twinwidth import (ContractionState, PartitionSequence, Trigraph,
                        replay, sequence_from_vertex_merges, verify_d_sequence)
 from twinwidth import Partition, WidthProfile, quotient
 from twinwidth import exact_twinwidth
-from twinwidth.errors import PartialSequenceError, SequenceError
+from twinwidth.errors import SequenceError
 
 
 def test_merge_script_normalizes_to_representatives():
@@ -68,7 +68,7 @@ def test_replay_errors():
 
 def test_verify_requires_full_sequence():
     g = Trigraph(3, [(0, 1)])
-    with pytest.raises(PartialSequenceError):
+    with pytest.raises(SequenceError, match=r"need a full sequence \(2 steps\), got 1"):
         verify_d_sequence(g, sequence_from_vertex_merges(3, [(0, 1)]), 1)
     with pytest.raises(SequenceError, match="sequence is for n=2, trigraph has n=3"):
         verify_d_sequence(g, sequence_from_vertex_merges(2, []), 1)  # short and for another n

@@ -6,7 +6,7 @@ from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass
 
 from corpus import random_formula
 from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
-from twinwidth.errors import DialectError, ParseError, UnusedVariableError
+from twinwidth.errors import ParseError, TwinwidthError
 from twinwidth.formats import (parse_dimacs_cnf, read_sequence, read_trigraph,
                                write_assignment, write_coloring, write_roles,
                                write_sequence, write_trigraph)
@@ -72,8 +72,8 @@ TRIGRAPH_TEXTS = [
     ("tgf 4 3 0\nb 3 4\nb 2 1\nb 4 3\nb 1 2\n", "ParseError: header declares 3 black"),
     ("tgf 4 4 0\nb 3 4\nb 2 1\nb 4 3\nb 1 2\n", "ParseError: pair 1 2 is on two edge lines"),
     ("tgf 3 1 0\nb 3 4\nb 1 2 3\n", "ParseError: edge line 'b 3 4' does not join"),
-    ("tgf -1 0 0\n", "RangeError: vertex count must be non-negative, got -1"),
-    ("tgf -1 1 0\nb 1 2\n", "ParseError: edge line 'b 1 2' does not join two vertices of 1..-1"),
+    ("tgf -1 0 0\n", "ParseError: vertex count must be non-negative, got -1"),
+    ("tgf -1 1 0\nb 1 2\n", "ParseError: vertex count must be non-negative, got -1"),
     ("tgf 0 0 0\n", None),
     ("tgf 3 1 0\nb +3 01\n", None),
     ("tgf\t3\t1\t1\nb\t1\t3\nr 2\t3 # note\n", None),
@@ -155,7 +155,7 @@ def test_parse_dimacs_demo():
 def test_parse_dimacs_dialect_flag_not_content():
     text = "p cnf 3 1\n1 2 3 0\n"
     assert parse_dimacs_cnf(text, Dialect.NAE_THREE_SAT).dialect is Dialect.NAE_THREE_SAT
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="repeats a variable"):
         parse_dimacs_cnf("p cnf 2 1\n1 1 2 0\n", Dialect.NAE_THREE_SAT)
 
 
@@ -180,7 +180,7 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("p cnf x 1\n1 2 3 0\n")
     with pytest.raises(ParseError, match="malformed clause line: '1 y 3 0'"):
         parse_dimacs_cnf("p cnf 3 1\n1 y 3 0\n")
-    with pytest.raises(UnusedVariableError):
+    with pytest.raises(TwinwidthError, match="variable 4 occurs in no clause"):
         parse_dimacs_cnf("p cnf 4 1\n1 2 3 0\n")
 
 

@@ -15,8 +15,7 @@ from twinwidth import (CnfFormula, Coloring, Dialect, Trigraph,
                        is_proper, nae_satisfies, satisfies,
                        solve_nae, solve_sat, verify_d_sequence)
 from twinwidth import build_mincol
-from twinwidth.errors import (BudgetExceeded, DialectError, RedEdgeError,
-                              UncoloredError)
+from twinwidth.errors import BudgetExceeded, TwinwidthError
 from twinwidth.oracles import _base_order, greedy_clique
 
 K3 = Trigraph(3, [(0, 1), (1, 2), (0, 2)])
@@ -37,10 +36,17 @@ def relabeled(g, rng):
 def test_is_proper():
     assert is_proper(K3, Coloring((1, 2, 3), 3))
     assert not is_proper(K3, Coloring((1, 1, 2), 3))
-    with pytest.raises(UncoloredError):
+    with pytest.raises(TwinwidthError, match="coloring has 2 entries, graph has 3 vertices"):
         is_proper(K3, Coloring((1, 2), 3))
-    with pytest.raises(RedEdgeError):
+    with pytest.raises(TwinwidthError, match="propriety is defined for plain graphs"):
         is_proper(Trigraph(2, [], [(0, 1)]), Coloring((1, 2), 2))
+
+
+def test_coloring_colors_lie_within_budget():
+    with pytest.raises(TwinwidthError, match=r"vertex 0 has color 0, outside 1\.\.1"):
+        Coloring((0,), 1)
+    with pytest.raises(TwinwidthError, match=r"vertex 1 has color 3, outside 1\.\.2"):
+        Coloring((1, 3), 2)
 
 
 def test_chromatic_examples():
@@ -67,9 +73,9 @@ def test_no_colors_and_no_vertices():
     assert is_k_colorable(p3, 0, budget=0) == (False, None)
     assert is_k_colorable(Trigraph(0), 0) == (True, Coloring((), 0))
     assert is_k_colorable(Trigraph(0), -1) == (True, Coloring((), 0))
-    with pytest.raises(RedEdgeError):
+    with pytest.raises(TwinwidthError, match="colorability is defined for plain graphs"):
         is_k_colorable(Trigraph(2, [], [(0, 1)]), 0)
-    with pytest.raises(RedEdgeError):
+    with pytest.raises(TwinwidthError, match="chromatic number is defined for plain graphs"):
         chromatic_number(Trigraph(2, [], [(0, 1)]))
     assert chromatic_number(Trigraph(1)) == (1, Coloring((1,), 1))
 
@@ -478,9 +484,9 @@ def test_solve_nae_demo(nae_demo, nae_demo_assignment):
 def test_solver_dialect_guards():
     sat = CnfFormula(3, ((1, 2, 3),), Dialect.THREE_SAT)
     nae = CnfFormula(3, ((1, 2, 3),), Dialect.NAE_THREE_SAT)
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="solve_sat expects the 3-SAT dialect"):
         solve_sat(nae)
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="solve_nae expects the NAE-3-SAT dialect"):
         solve_nae(sat)
 
 

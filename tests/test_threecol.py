@@ -9,9 +9,7 @@ from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
                        lift_to_k, nae_satisfies, solve_nae,
                        subdivision_positions, threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment, verify_d_sequence)
-from twinwidth.errors import (DialectError, KRangeError,
-                              NotNaeSatisfyingError, NotProperError,
-                              TooManyColorsError)
+from twinwidth.errors import TwinwidthError
 from twinwidth.threecol import MAX_K
 
 
@@ -29,14 +27,14 @@ def test_subdivision_positions_rules():
     # odd gap with opposite signs is already right
     f = CnfFormula(5, ((1, 2, 3), (-1, 4, 5)), Dialect.NAE_THREE_SAT)
     assert subdivision_positions(f) == set()
-    with pytest.raises(DialectError):
+    with pytest.raises(TwinwidthError, match="subdivision positions are defined for NAE input"):
         subdivision_positions(CnfFormula(3, ((1, 2, 3),), Dialect.THREE_SAT))
 
 
 def test_build_3col_rejections():
-    with pytest.raises(DialectError, match="takes NAE-3-SAT input"):
+    with pytest.raises(TwinwidthError, match="takes NAE-3-SAT input"):
         build_3col(CnfFormula(3, ((1, 2, 3),), Dialect.THREE_SAT))
-    with pytest.raises(DialectError, match="need at least one variable and one clause"):
+    with pytest.raises(TwinwidthError, match="need at least one variable and one clause"):
         build_3col(CnfFormula(0, (), Dialect.NAE_THREE_SAT))
 
 
@@ -122,7 +120,7 @@ def test_forward_coloring_single_clause_triangle():
 
 
 def test_forward_requires_nae_witness(threecol_demo):
-    with pytest.raises(NotNaeSatisfyingError):
+    with pytest.raises(TwinwidthError, match="assignment does not NAE-satisfy the formula"):
         threecol_coloring_from_assignment(
             threecol_demo, {i: True for i in range(1, 8)})
 
@@ -168,11 +166,11 @@ def test_backward_round_trip_random():
 def test_backward_rejections(threecol_demo, nae_demo_assignment):
     inst = threecol_demo
     col = threecol_coloring_from_assignment(inst, nae_demo_assignment)
-    with pytest.raises(TooManyColorsError):
+    with pytest.raises(TwinwidthError, match="coloring uses color 4, budget is 3"):
         threecol_assignment_from_coloring(inst, Coloring((4,) * inst.graph.n, 4))
     broken = list(col.colors)
     broken[inst.path_vertex(1, 1)] = col.colors[inst.z]
-    with pytest.raises(NotProperError):
+    with pytest.raises(TwinwidthError, match="coloring is not proper"):
         threecol_assignment_from_coloring(inst, Coloring(tuple(broken), 3))
 
 
@@ -205,10 +203,10 @@ def test_lift_small_and_demo(threecol_demo):
     big_graph, big_seq = lift_to_k(threecol_demo, 5)
     ok, _ = verify_d_sequence(big_graph, big_seq, 4)
     assert ok
-    with pytest.raises(KRangeError):
+    with pytest.raises(TwinwidthError, match="k must be at least 3, got 2"):
         lift_to_k(inst, 2)
     assert lift_to_k(inst, MAX_K)[0].n == inst.graph.n + MAX_K - 3
-    with pytest.raises(KRangeError, match=f"^k must be at most {MAX_K}, got {MAX_K + 1}$"):
+    with pytest.raises(TwinwidthError, match=f"^k must be at most {MAX_K}, got {MAX_K + 1}$"):
         lift_to_k(inst, MAX_K + 1)
 
 

@@ -4,8 +4,7 @@ import pytest
 
 from reference import all_graphs, all_partitions, quotient_by_definition, redify
 from twinwidth import ContractionState, Partition, Trigraph, quotient
-from twinwidth.errors import (LoopError, OverlapError, PartitionError,
-                              RangeError)
+from twinwidth.errors import OverlapError, TwinwidthError
 
 
 def test_make_trigraph_plain_path():
@@ -26,11 +25,11 @@ def test_make_trigraph_rejects_overlap_reversed_pair():
 
 
 def test_make_trigraph_range_and_loops():
-    with pytest.raises(RangeError):
+    with pytest.raises(TwinwidthError, match=r"black edge \(0,2\) out of range for n=2"):
         Trigraph(2, [(0, 2)])
-    with pytest.raises(LoopError):
+    with pytest.raises(TwinwidthError, match=r"red edge \(1,1\) is a self-loop"):
         Trigraph(2, [], [(1, 1)])
-    with pytest.raises(RangeError):
+    with pytest.raises(TwinwidthError, match="vertex count must be non-negative, got -1"):
         Trigraph(-1)
 
 
@@ -96,18 +95,18 @@ def test_quotient_c4_opposite_pair_stays_black():
 
 
 def test_quotient_rejects_foreign_partition():
-    with pytest.raises(PartitionError):
+    with pytest.raises(TwinwidthError, match="partition is over 3 vertices, trigraph has 4"):
         quotient(C4, Partition(3, [[0], [1], [2]]))
 
 
 def test_partition_validation():
-    with pytest.raises(PartitionError):
+    with pytest.raises(TwinwidthError, match=r"vertices not covered: \[2\]"):
         Partition(3, [[0, 1]])
-    with pytest.raises(PartitionError):
+    with pytest.raises(TwinwidthError, match="vertex 1 in two parts"):
         Partition(3, [[0, 1], [1, 2]])
-    with pytest.raises(PartitionError):
+    with pytest.raises(TwinwidthError, match="empty part"):
         Partition(3, [[0], [1], [2], []])
-    with pytest.raises(PartitionError):
+    with pytest.raises(TwinwidthError, match="vertex 2 out of range for n=2"):
         Partition(2, [[0], [1], [2]])
 
 
