@@ -133,7 +133,7 @@ def _cmd_tww_exact(args) -> RunReport:
     try:
         width, seq = exact_twinwidth(g, _budget(args))
     except BudgetExceeded as exc:
-        report.skip(f"budget exceeded; best upper bound {exc.upper}")
+        report.skip(f"budget exceeded; twin-width at least {exc.lower}")
         return report
     report.add("twin_width", width)
     ok, _ = verify_d_sequence(g, seq, width)

@@ -25,8 +25,8 @@ class OverlapError(TwinwidthError):
 class BudgetExceeded(TwinwidthError):
     """An exact search ran out of its node-expansion budget.
 
-    Carries the best bounds known at the point of interruption (either
-    may be None when no bound was established).
+    `exact_twinwidth` sets `lower` to the width it was trying, and
+    `chromatic_number` sets both bounds; `is_k_colorable` sets neither.
     """
 
     def __init__(self, message, lower=None, upper=None):

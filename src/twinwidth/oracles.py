@@ -47,9 +47,9 @@ def _meter(budget: int | None, search: str):
     """A spend() that counts one expansion and raises BudgetExceeded past the budget."""
     spent = count(1)
 
-    def spend(lower: int | None = None, upper: int | None = None) -> None:
+    def spend(lower: int | None = None) -> None:
         if budget is not None and next(spent) > budget:
-            raise BudgetExceeded(f"{search} search exceeded {budget} expansions", lower, upper)
+            raise BudgetExceeded(f"{search} search exceeded {budget} expansions", lower)
     return spend
 
 
@@ -296,37 +296,25 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
     return greedy.k, greedy
 
 
-def _greedy_merge_sequence(g: Trigraph) -> tuple[int, PartitionSequence]:
-    """Merge the first pair minimizing the next quotient's width; an upper bound."""
-    state = ContractionState(g)
-    width = state.max_red_degree()
-    merges = []
-    while len(state.live) > 1:
-        a, b = min(combinations(sorted(state.live), 2),
-                   key=lambda pair: state.merged_width(*pair))
-        state.merge(a, b)
-        merges.append((a, b))
-        width = max(width, state.max_red_degree())
-    return width, sequence_from_vertex_merges(g.n, merges)
-
-
 def exact_twinwidth(g: Trigraph, budget: int | None = None
                     ) -> tuple[int, PartitionSequence]:
     """Exact twin-width with an optimal witness sequence.
 
-    Iterative deepening on the width bound; each level runs a DFS on an
-    explicit stack over contraction states, memoizing failed partitions
-    by each vertex's part representative.  Meant for about a dozen vertices.
+    Iterative deepening on the width bound d, up from the root's max red
+    degree: each level's DFS, on an explicit stack over contraction states,
+    memoizes failed partitions by each vertex's part representative.  A
+    level with d >= n - 2 takes the first pair at every node, so the loop
+    ends.  The budget counts levels and descents; BudgetExceeded carries
+    lower = d, proved by the levels below.  Meant for about a dozen vertices.
     """
     n = g.n
     if n <= 1:
         return 0, PartitionSequence(n, ())
-    upper, upper_seq = _greedy_merge_sequence(g)
     root = ContractionState(g)
     spend = _meter(budget, "twin-width")
-    for d in range(root.max_red_degree(), upper):
+    for d in count(root.max_red_degree()):
         failed: set[tuple[int, ...]] = set()  # reps of states that no merge order finishes
-        spend(d, upper)
+        spend(d)
         # per open state: the merge into it, its rep, and the pairs it has left to try
         stack = [((), root, tuple(range(n)), combinations(sorted(root.live), 2))]
         while stack:
@@ -339,13 +327,12 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
                         return d, sequence_from_vertex_merges(n, merges)
                     child_rep = tuple(a if r == b else r for r in rep)
                     if child_rep not in failed:
-                        spend(d, upper)
+                        spend(d)
                         stack.append(((a, b), child, child_rep, combinations(sorted(child.live), 2)))
                         break
             else:
                 failed.add(rep)
                 stack.pop()
-    return upper, upper_seq
 
 
 def _solve_cnf(formula: CnfFormula) -> Assignment | None:

@@ -165,11 +165,13 @@ def test_tww_exact_and_chromatic(tmp_path, capsys):
 
 
 def test_tww_exact_budget_skip(tmp_path, capsys):
-    # greedy-gap-7: the greedy bound is 2, and only the search finds width 1
-    graph = tmp_path / "gap.tgf"
+    # width1-7 of the oracle pins: 11 expansions decide it, the last on the width-1 level
+    graph = tmp_path / "width1.tgf"
     graph.write_text("tgf 7 8 0\nb 1 5\nb 1 6\nb 2 4\nb 2 5\nb 2 7\nb 3 4\nb 3 5\nb 4 5\n")
     assert main(["tww-exact", str(graph), "--budget", "0"]) == 0
-    assert "SKIP: budget exceeded; best upper bound 2\n" in capsys.readouterr().out
+    assert "SKIP: budget exceeded; twin-width at least 0\n" in capsys.readouterr().out
+    assert main(["tww-exact", str(graph), "--budget", "10"]) == 0
+    assert "SKIP: budget exceeded; twin-width at least 1\n" in capsys.readouterr().out
     assert main(["tww-exact", str(graph)]) == 0
     assert "twin_width: 1\n" in capsys.readouterr().out
 

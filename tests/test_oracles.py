@@ -1,4 +1,5 @@
 import ast
+from itertools import count
 import pathlib
 import random
 import sys
@@ -10,7 +11,7 @@ from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, random_cograph)
 from reference import backtrack_solve, greedy_clique_by_scan, redify
 import twinwidth
-from twinwidth import (CnfFormula, Coloring, Dialect, Trigraph,
+from twinwidth import (CnfFormula, Coloring, ContractionState, Dialect, Trigraph,
                        chromatic_number, exact_twinwidth, is_k_colorable,
                        is_proper, nae_satisfies, satisfies,
                        solve_nae, solve_sat, verify_d_sequence)
@@ -204,12 +205,13 @@ def test_exact_twinwidth_budget():
     g = Trigraph(7, [(i, (i + 1) % 7) for i in range(7)])
     with pytest.raises(BudgetExceeded) as exc:
         exact_twinwidth(g, budget=1)
-    assert exc.value.upper is not None
-    # C7: the width-0 level fails in one expansion, width 1 needs a second
-    assert (exc.value.lower, exc.value.upper) == (1, 2)
-    width, seq = exact_twinwidth(g, budget=2)
+    # C7: the width-0 level fails in one expansion, so width 1 is the bound
+    assert (exc.value.lower, exc.value.upper) == (1, None)
+    with pytest.raises(BudgetExceeded):
+        exact_twinwidth(g, budget=7)
+    width, seq = exact_twinwidth(g, budget=8)
     assert width == 2
-    assert list(seq.steps) == [(0, 1), (0, 2), (0, 3), (4, 6), (0, 4), (0, 5)]
+    assert list(seq.steps) == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6)]
 
 
 def _gnp(n, p, seed):
@@ -227,32 +229,37 @@ def _pinned_twinwidth_graphs():
         [(7, .5), (8, .3), (9, .5), (10, .3), (10, .5), (11, .3), (11, .5)]))
     graphs["red"] = Trigraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 4)],
                                   [(0, 3), (2, 5), (1, 6)])
+    graphs["width1-7"] = Trigraph(7, [(0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (3, 4)])
+    graphs["width1-red-6"] = Trigraph(6, [(0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)],
+                                      [(0, 5)])
     return graphs
 
 
 # name: (width, witness steps, smallest budget that decides); pinned so
 # that any change to the search order or its pruning shows here
 TWINWIDTH_PINS = {
-    "path-5": (1, [(0, 1), (0, 2), (0, 3), (0, 4)], 1),
-    "path-8": (1, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)], 1),
+    "path-5": (1, [(0, 1), (0, 2), (0, 3), (0, 4)], 5),
+    "path-8": (1, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7)], 8),
     "path-11": (1, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
-                    (0, 10)], 1),
-    "cycle-6": (2, [(0, 1), (0, 2), (3, 5), (0, 3), (0, 4)], 2),
-    "cycle-9": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (6, 8), (0, 6), (0, 7)], 2),
-    "cycle-11": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (8, 10), (0, 8),
-                     (0, 9)], 2),
-    "cograph-1": (0, [(0, 1), (2, 3), (2, 4), (2, 5), (2, 6), (0, 2)], 0),
-    "cograph-2": (0, [(1, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (1, 3), (0, 1)], 0),
-    "gnp-7-0.5-0": (1, [(0, 1), (0, 3), (0, 2), (0, 4), (0, 5), (0, 6)], 1),
-    "gnp-8-0.3-1": (2, [(0, 1), (2, 6), (2, 5), (0, 3), (0, 2), (0, 4), (0, 7)], 11),
-    "gnp-9-0.5-2": (2, [(0, 4), (1, 5), (0, 7), (1, 3), (0, 2), (1, 6), (0, 1), (0, 8)], 5),
-    "gnp-10-0.3-3": (2, [(3, 4), (6, 7), (0, 2), (0, 6), (0, 1), (8, 9), (0, 3), (0, 5), (0, 8)], 9),
-    "gnp-10-0.5-4": (2, [(0, 5), (2, 4), (0, 2), (3, 8), (0, 1), (3, 7), (0, 9), (0, 3), (0, 6)], 31),
+                    (0, 10)], 11),
+    "cycle-6": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], 7),
+    "cycle-9": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8)], 10),
+    "cycle-11": (2, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (0, 9),
+                     (0, 10)], 12),
+    "cograph-1": (0, [(0, 1), (2, 3), (2, 4), (2, 5), (2, 6), (0, 2)], 6),
+    "cograph-2": (0, [(1, 2), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (1, 3), (0, 1)], 9),
+    "gnp-7-0.5-0": (1, [(0, 1), (0, 3), (0, 2), (0, 4), (0, 5), (0, 6)], 7),
+    "gnp-8-0.3-1": (2, [(0, 1), (0, 4), (0, 5), (0, 7), (0, 2), (0, 3), (0, 6)], 18),
+    "gnp-9-0.5-2": (2, [(0, 4), (1, 2), (1, 5), (1, 3), (0, 7), (0, 1), (0, 6), (0, 8)], 13),
+    "gnp-10-0.3-3": (2, [(0, 2), (0, 6), (0, 7), (0, 1), (0, 4), (0, 8), (0, 3), (0, 5), (0, 9)], 18),
+    "gnp-10-0.5-4": (2, [(0, 1), (0, 5), (2, 4), (0, 2), (3, 6), (0, 3), (0, 7), (0, 8), (0, 9)], 40),
     "gnp-11-0.3-5": (2, [(0, 4), (0, 6), (2, 5), (3, 9), (3, 8), (1, 2), (3, 7), (0, 1), (0, 3),
-                         (0, 10)], 4),
-    "gnp-11-0.5-6": (3, [(0, 4), (3, 7), (0, 6), (2, 8), (0, 2), (0, 1), (0, 3), (5, 9), (0, 5),
-                         (0, 10)], 55),
-    "red": (2, [(2, 4), (1, 3), (0, 1), (0, 2), (0, 5), (0, 6)], 2),
+                         (0, 10)], 14),
+    "gnp-11-0.5-6": (3, [(0, 4), (0, 6), (1, 2), (1, 3), (0, 8), (0, 1), (0, 5), (0, 7), (0, 9),
+                         (0, 10)], 65),
+    "red": (2, [(1, 3), (0, 6), (0, 2), (0, 1), (0, 4), (0, 5)], 8),
+    "width1-7": (1, [(0, 5), (3, 4), (0, 2), (0, 3), (0, 1), (0, 6)], 11),
+    "width1-red-6": (1, [(3, 5), (0, 2), (0, 3), (0, 1), (0, 4)], 7),
 }
 
 
@@ -261,36 +268,47 @@ def test_exact_twinwidth_pinned_witnesses_and_budgets():
     assert graphs.keys() == TWINWIDTH_PINS.keys()
     for name, g in graphs.items():
         width, steps, budget = TWINWIDTH_PINS[name]
+        if g.n <= 8:
+            assert brute_twinwidth(g) == width, name
         found, seq = exact_twinwidth(g)
         assert (found, list(seq.steps)) == (width, steps), name
         assert verify_d_sequence(g, seq, width)[0]
         assert exact_twinwidth(g, budget=budget) == (found, seq), name
-        if budget:
-            with pytest.raises(BudgetExceeded):
-                exact_twinwidth(g, budget=budget - 1)
-
-
-# name: (graph, width, witness steps, smallest budget that decides); on
-# each the greedy bound is 2, so only a successful DFS finds width 1
-GREEDY_GAP_PINS = {
-    "greedy-gap-7": (Trigraph(7, [(0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (3, 4)]),
-                     1, [(0, 5), (3, 4), (0, 2), (0, 3), (0, 1), (0, 6)], 11),
-    "greedy-gap-red-6": (Trigraph(6, [(0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)],
-                                  [(0, 5)]),
-                         1, [(3, 5), (0, 2), (0, 3), (0, 1), (0, 4)], 7),
-}
-
-
-def test_exact_twinwidth_beats_the_greedy_bound():
-    for name, (g, width, steps, budget) in GREEDY_GAP_PINS.items():
-        assert brute_twinwidth(g) == width, name
-        found, seq = exact_twinwidth(g)
-        assert (found, list(seq.steps)) == (width, steps), name
-        assert verify_d_sequence(g, seq, width)[0]
-        assert exact_twinwidth(g, budget=budget) == (found, seq), name
+        # one short of deciding, the search is on the answer's level: every width below is ruled out
         with pytest.raises(BudgetExceeded) as exc:
             exact_twinwidth(g, budget=budget - 1)
-        assert (exc.value.lower, exc.value.upper) == (width, 2), name
+        assert (exc.value.lower, exc.value.upper) == (width, None), name
+
+
+def test_exact_twinwidth_budget_zero_scores_no_pair(monkeypatch):
+    calls = 0
+    merged_width = ContractionState.merged_width
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return merged_width(self, a, b)
+
+    monkeypatch.setattr(ContractionState, "merged_width", counted)
+    with pytest.raises(BudgetExceeded):
+        exact_twinwidth(_gnp(40, 0.1, 40), budget=0)
+    assert calls == 0
+
+
+def test_exact_twinwidth_skip_bound_is_sound():
+    # each budget short of deciding raises with a lower bound that brute force confirms
+    for seed in range(150):
+        g = _gnp(6, (seed % 9 + 1) / 10, seed)
+        for h in (g, redify(g)):
+            truth = brute_twinwidth(h)
+            for budget in count():
+                try:
+                    width, _ = exact_twinwidth(h, budget=budget)
+                except BudgetExceeded as exc:
+                    assert exc.lower <= truth, (seed, budget)
+                else:
+                    assert width == truth, seed
+                    break
 
 
 def _pinned_coloring_graphs(mincol_demo, threecol_demo):
