@@ -121,6 +121,26 @@ def brute_twinwidth(g):
     return max(init, best_from([frozenset([v]) for v in range(g.n)], g.n))
 
 
+def greedy_merge_width(g):
+    """Width of the greedy merge order: each step merges the first pair of
+    parts whose quotient has the smallest max red degree.  An upper bound
+    on twin-width, by full quotients rather than the package's state."""
+    parts = [frozenset([v]) for v in range(g.n)]
+    width = max_red_degree(g)
+    while len(parts) > 1:
+        best = None
+        for i in range(len(parts)):
+            for j in range(i + 1, len(parts)):
+                trial = [p for t, p in enumerate(parts) if t not in (i, j)]
+                trial.append(parts[i] | parts[j])
+                w = max_red_degree(quotient(g, Partition(g.n, trial)))
+                if best is None or w < best[0]:
+                    best = (w, trial)
+        width = max(width, best[0])
+        parts = best[1]
+    return width
+
+
 def brute_sat(formula):
     """First satisfying assignment in lexicographic order (False < True)."""
     n = formula.n_vars

@@ -8,7 +8,7 @@ import pytest
 
 from corpus import random_formula, random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
-                       brute_twinwidth, random_cograph)
+                       brute_twinwidth, greedy_merge_width, random_cograph)
 from reference import backtrack_solve, greedy_clique_by_scan, redify
 import twinwidth
 from twinwidth import (CnfFormula, Coloring, ContractionState, Dialect, Trigraph,
@@ -278,6 +278,18 @@ def test_exact_twinwidth_pinned_witnesses_and_budgets():
         with pytest.raises(BudgetExceeded) as exc:
             exact_twinwidth(g, budget=budget - 1)
         assert (exc.value.lower, exc.value.upper) == (width, None), name
+
+
+def test_exact_twinwidth_beats_the_greedy_bound():
+    # greedy merging reaches width 2 on these, so only the exact search finds width 1
+    graphs = _pinned_twinwidth_graphs()
+    for name in ("width1-7", "width1-red-6"):
+        g = graphs[name]
+        width, steps, _ = TWINWIDTH_PINS[name]
+        assert (greedy_merge_width(g), brute_twinwidth(g), width) == (2, 1, 1), name
+        found, seq = exact_twinwidth(g)
+        assert (found, list(seq.steps)) == (width, steps), name
+        assert verify_d_sequence(g, seq, width)[0]
 
 
 def test_exact_twinwidth_budget_zero_scores_no_pair(monkeypatch):
