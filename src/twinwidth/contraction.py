@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import SequenceError
-from .trigraph import Trigraph
+from .trigraph import _NO_NEIGHBORS, Trigraph
 
 
 @dataclass(frozen=True)
@@ -61,18 +61,15 @@ def sequence_from_vertex_merges(n: int, merges: Iterable[tuple[int, int]],
     if n < 0:
         raise SequenceError(f"vertex count must be non-negative, got {n}")
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     steps = []
     for u, v in merges:
         if not (0 <= u < n and 0 <= v < n):
             raise SequenceError(f"merge ({u + base},{v + base}) out of range for n={n}")
-        ru, rv = find(u), find(v)
+        ru, rv = u, v  # find both roots, halving each path on the way
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
         if ru == rv:
             raise SequenceError(
                 f"merge ({u + base},{v + base}) names two vertices already in the same part")
@@ -87,7 +84,8 @@ class ContractionState:
 
     red_count[d] is the number of live parts of red degree d and top is
     at least the largest such d, so a replay costs its merges' own work
-    and not a scan of the live parts per step.
+    and not a scan of the live parts per step.  A dead part's neighbor
+    sets are the shared empty frozenset, which nothing writes to.
     """
 
     def __init__(self, g: Trigraph):
@@ -101,54 +99,77 @@ class ContractionState:
 
     def merge(self, a: int, b: int) -> int:
         """Merge the live parts with representatives a and b; returns min(a, b)."""
-        if a not in self.live or b not in self.live:
-            raise SequenceError(f"merge ({a},{b}) references a dead part")
-        if a == b:
-            raise SequenceError(f"merge ({a},{a}) names the same part twice")
-        if b < a:
-            a, b = b, a
-        self.live.discard(b)
-        black, red, count = self.black_adj, self.red_adj, self.red_count
-        black_a, red_a, black_b, red_b = black[a], red[a], black[b], red[b]
-        count[len(red_a)] -= 1
-        count[len(red_b)] -= 1
-        black_a.discard(b)
-        red_a.discard(b)
-        black_b.discard(a)
-        red_b.discard(a)
+        self.merge_all(((a, b),))
+        return min(a, b)
+
+    def merge_all(self, steps: Iterable[tuple[int, int]]) -> list[int]:
+        """Merge each pair of live parts in turn; returns the max red degree after each step.
+
+        This is the one merge body.  A step that names a dead part or one
+        part twice raises before it changes anything, so the state stays
+        valid at the last step that succeeded.
+        """
+        live, black, red, count = self.live, self.black_adj, self.red_adj, self.red_count
         top = self.top
-        # Red to b: red to the merged part, whatever it was to a.
-        for q in red_b:
-            red_q = red[q]
-            d = len(red_q)
-            red_q.discard(b)
-            red_q.add(a)
-            red_a.add(q)
-            black_a.discard(q)
-            black[q].discard(a)
-            if len(red_q) != d:
-                count[d] -= 1
-                count[len(red_q)] += 1
-                top = max(top, len(red_q))
-        # Black to b: stays black if black to a, stays red if red to a.
-        for q in black_b:
-            black[q].discard(b)
-        # Black to one of a and b and not adjacent to the other: the
-        # merged part sees a mixed cross, so the pair turns red.
-        for q in (black_a ^ black_b) - red_a:
-            black_a.discard(q)
-            black[q].discard(a)
-            d = len(red[q])
-            red[q].add(a)
-            red_a.add(q)
-            count[d] -= 1
-            count[d + 1] += 1
-            top = max(top, d + 1)
-        count[len(red_a)] += 1
-        self.top = max(top, len(red_a))
-        black[b] = set()
-        red[b] = set()
-        return a
+        widths = []
+        try:
+            for a, b in steps:
+                if a not in live or b not in live:
+                    raise SequenceError(f"merge ({a},{b}) references a dead part")
+                if a == b:
+                    raise SequenceError(f"merge ({a},{a}) names the same part twice")
+                if b < a:
+                    a, b = b, a
+                live.discard(b)
+                black_a, red_a, black_b, red_b = black[a], red[a], black[b], red[b]
+                count[len(red_a)] -= 1
+                count[len(red_b)] -= 1
+                black_a.discard(b)
+                red_a.discard(b)
+                black_b.discard(a)
+                red_b.discard(a)
+                # Red to b: red to the merged part, whatever it was to a.  A
+                # part red to both loses one red neighbor; any other swaps b for a.
+                for q in red_b:
+                    red_q = red[q]
+                    red_q.discard(b)
+                    if a in red_q:
+                        d = len(red_q)
+                        count[d + 1] -= 1
+                        count[d] += 1
+                    else:
+                        red_q.add(a)
+                        black[q].discard(a)
+                black_a -= red_b
+                red_a |= red_b
+                # Black to b: stays black if black to a, stays red if red to a.
+                for q in black_b:
+                    black[q].discard(b)
+                # Black to one of a and b and not adjacent to the other: the
+                # merged part sees a mixed cross, so the pair turns red.
+                mixed = (black_a ^ black_b) - red_a
+                black_a -= mixed
+                red_a |= mixed
+                for q in mixed:
+                    black[q].discard(a)
+                    red_q = red[q]
+                    d = len(red_q)
+                    red_q.add(a)
+                    count[d] -= 1
+                    count[d + 1] += 1
+                    if d >= top:
+                        top = d + 1
+                d = len(red_a)
+                count[d] += 1
+                if d > top:
+                    top = d
+                black[b] = red[b] = _NO_NEIGHBORS
+                while top and not count[top]:
+                    top -= 1
+                widths.append(top)
+        finally:
+            self.top = top  # a step that raises leaves the state as the last one left it
+        return widths
 
     def merged(self, a: int, b: int) -> "ContractionState":
         """A copy with parts a and b merged; the receiver is left unchanged."""
@@ -196,10 +217,7 @@ def replay(g: Trigraph, seq: PartitionSequence) -> WidthProfile:
         raise SequenceError(f"sequence is for n={seq.n}, trigraph has n={g.n}")
     state = ContractionState(g)
     initial = state.max_red_degree()
-    widths = []
-    for a, b in seq.steps:
-        state.merge(a, b)
-        widths.append(state.max_red_degree())
+    widths = state.merge_all(seq.steps)
     overall = max([initial, *widths])
     return WidthProfile(initial, tuple(widths), overall)
 

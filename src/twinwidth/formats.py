@@ -12,9 +12,7 @@ from .cnf import Clause, CnfFormula, Dialect
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import OverlapError, ParseError, SequenceError
 from .oracles import Coloring
-from .trigraph import Trigraph, edge_count
-
-MAX_VERTICES = 2**20  # readers refuse larger headers before allocating anything
+from .trigraph import MAX_VERTICES, Trigraph, edge_count
 
 
 def _data_lines(text: str) -> list[str]:
@@ -24,21 +22,16 @@ def _data_lines(text: str) -> list[str]:
     return [line for raw in lines if (line := raw.strip())]
 
 
-def _ints(tokens: list[str], count: int, line: str, what: str) -> list[int]:
-    """Exactly `count` integer tokens, or a ParseError quoting the line."""
-    try:
-        if len(tokens) == count:
-            return [int(t) for t in tokens]
-    except ValueError:
-        pass
-    raise ParseError(f"malformed {what}: {line!r}")
-
-
 def _header(lines: list[str], tag: str, count: int) -> list[int]:
     """The `count` integers after `tag` on the first line; the first is a vertex count."""
     if not lines or not lines[0].startswith(tag):
         raise ParseError(f"missing '{tag}' header")
-    values = _ints(lines[0].split()[1:], count, lines[0], "header")
+    try:
+        values = [int(t) for t in lines[0].split()[1:]]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise ParseError(f"malformed header: {lines[0]!r}")
     if values[0] < 0:
         raise ParseError(f"vertex count must be non-negative, got {values[0]}")
     if values[0] > MAX_VERTICES:
@@ -101,12 +94,15 @@ def read_sequence(text: str) -> PartitionSequence:
     lines = _data_lines(text)
     n, n_steps = _header(lines, "seq", 2)
     merges = []
-    for line in lines[1:]:
-        tag, *ids = line.split()
-        if tag != "m":
-            raise ParseError(f"malformed merge line: {line!r}")
-        a, b = _ints(ids, 2, line, "merge line")
-        merges.append((a - 1, b - 1))
+    for line in lines[1:]:  # the hot loop on long scripts: no helper calls
+        try:
+            tag, a, b = line.split()
+            if tag == "m":
+                merges.append((int(a) - 1, int(b) - 1))
+                continue
+        except ValueError:
+            pass
+        raise ParseError(f"malformed merge line: {line!r}")
     if len(merges) != n_steps:
         raise ParseError(f"header declares {n_steps} steps, found {len(merges)}")
     try:

@@ -21,7 +21,7 @@ from .cnf import Assignment, CnfFormula, Dialect, literal_value, satisfies
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
-from .trigraph import Trigraph
+from .trigraph import Trigraph, check_vertex_count
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     if n < 2:
         raise TwinwidthError("need at least two variables")
     p = 2 * n + m
+    check_vertex_count((4 * n + 1) * p)  # two sides of 2n vertices per block, and p apexes
     width = 2 * n
     side = width * p
     layout = MinColInstance(formula, n, p, None)

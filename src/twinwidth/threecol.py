@@ -22,7 +22,7 @@ from .cnf import (Assignment, CnfFormula, Dialect, literal_value,
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
-from .trigraph import Trigraph
+from .trigraph import Trigraph, check_vertex_count
 
 _SLOTS = ("u", "v", "w")
 # lift_to_k adds k-3 pairwise-adjacent vertices, each joined to the whole
@@ -82,8 +82,9 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
     if n < 1 or m < 1:
         raise TwinwidthError("need at least one variable and one clause")
     subdivisions = subdivision_positions(formula)
-
-    adj: list = [[] for _ in range(n * m + len(subdivisions) + 3 * m + 1)]  # neighbor lists
+    size = n * m + len(subdivisions) + 3 * m + 1  # paths, subdivisions, triangles, hub
+    check_vertex_count(size)
+    adj: list = [[] for _ in range(size)]  # neighbor lists
     labels: dict[int, str] = {}
     next_id = 0
     path_orders: list[tuple[int, ...]] = []
@@ -235,6 +236,7 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequen
     base = inst.graph
     extra = k - 3
     total = base.n + extra
+    check_vertex_count(total)
     universal = range(base.n, total)  # each adjacent to every other vertex
     adj = [[*nbrs, *universal] for nbrs in base.black_adj]
     adj += [[*range(u), *range(u + 1, total)] for u in universal]

@@ -16,8 +16,18 @@ from .errors import OverlapError, TwinwidthError
 
 Edge = tuple[int, int]
 
+# The readers refuse larger headers and the reductions larger instances,
+# each before allocating anything.
+MAX_VERTICES = 2**20
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a reduction instance above MAX_VERTICES before it is built."""
+    if n > MAX_VERTICES:
+        raise TwinwidthError(
+            f"the instance would have {n} vertices, above the cap of {MAX_VERTICES}")
 
 
 def _neighbor_lists(n: int, pairs: Iterable[Edge], kind: str) -> list:

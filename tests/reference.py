@@ -3,15 +3,16 @@
 Everything here is deliberately written from the definitions, in a
 different style from the package (flag scans instead of counters, raw
 enumeration instead of branch and bound), so agreement is meaningful.
-The one exception is `read_trigraph_two_pass`, the package's earlier
-trigraph reader, kept so that the one-pass reader can be compared with
-it message for message.  The first three functions and the last two are
-not references but small helpers that only tests call.
+The exceptions are `read_trigraph_two_pass` and `read_sequence_by_helpers`,
+the package's earlier trigraph and sequence readers, kept so that the
+one-pass readers can be compared with them message for message.  The
+first three functions and the last three are not references but small
+helpers that only tests call.
 """
 
 import itertools
 
-from twinwidth import Partition, Trigraph, quotient
+from twinwidth import Partition, PartitionSequence, Trigraph, quotient
 from twinwidth.cnf import Dialect, literal_value
 from twinwidth.errors import OverlapError, ParseError, TwinwidthError
 from twinwidth.formats import _header
@@ -274,13 +275,56 @@ def read_trigraph_two_pass(text):
     return g
 
 
+def read_sequence_by_helpers(text):
+    """The sequence reader as first written, with the union-find it called.
+
+    Each merge line goes through a split into tag and ids and a checked
+    integer conversion; the script is then normalized by a nested
+    path-halving `find`, two calls per merge.
+    """
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
+    n, n_steps = _header(lines, "seq", 2)
+    merges = []
+    for line in lines[1:]:
+        tag, *ids = line.split()
+        if tag != "m" or len(ids) != 2:
+            raise ParseError(f"malformed merge line: {line!r}")
+        try:
+            a, b = [int(t) for t in ids]
+        except ValueError:
+            raise ParseError(f"malformed merge line: {line!r}") from None
+        merges.append((a - 1, b - 1))
+    if len(merges) != n_steps:
+        raise ParseError(f"header declares {n_steps} steps, found {len(merges)}")
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    steps = []
+    for u, v in merges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ParseError(f"merge ({u + 1},{v + 1}) out of range for n={n}")
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            raise ParseError(f"merge ({u + 1},{v + 1}) names two vertices already in the same part")
+        lo, hi = (ru, rv) if ru < rv else (rv, ru)
+        parent[hi] = lo
+        steps.append((lo, hi))
+    return PartitionSequence(n, tuple(steps))
+
+
 def read_outcome(read, text):
-    """What a trigraph reader makes of text: (n, black_adj, red_adj), or "<error>: <message>"."""
+    """What a reader makes of text: a trigraph's (n, black_adj, red_adj), a
+    sequence, or "<error>: <message>"."""
     try:
-        g = read(text)
+        out = read(text)
     except TwinwidthError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return g.n, g.black_adj, g.red_adj
+    return (out.n, out.black_adj, out.red_adj) if isinstance(out, Trigraph) else out
 
 
 def mutate_trigraph_text(text, rng):
@@ -324,4 +368,49 @@ def mutate_trigraph_text(text, rng):
     if len(head) == 4 and head[0] == "tgf" and rng.random() < 0.5:  # make the counts true
         tags = [line.split()[:1] for line in lines[1:]]
         lines[0] = " ".join([*head[:2], str(tags.count(["b"])), str(tags.count(["r"]))])
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def mutate_sequence_text(text, rng):
+    """One to three random faults or harmless variations of a sequence text, by line.
+
+    Half the time the header's step count is then set to the number of
+    data lines after it, so that the faults behind a count mismatch show.
+    """
+    lines = text.splitlines()
+    n = int(lines[0].split()[1])
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(1, len(lines) + 1)
+        step = lines[rng.randrange(1, len(lines))].split() if len(lines) > 1 else ["m", "1", "2"]
+        u, v = step[1:] if len(step) == 3 else ("1", "2")
+        kind = rng.randrange(10)
+        if kind == 0:  # a merge within one part: a step again, either way round
+            lines.insert(at, "m " + " ".join(rng.sample([u, v], 2)))
+        elif kind == 1 and len(lines) > 1:
+            del lines[rng.randrange(1, len(lines))]
+        elif kind == 2 and len(head := lines[0].split()) == 3:  # a count off by a little
+            slot = rng.randrange(1, 3)
+            head[slot] = str(int(head[slot]) + rng.choice((-2, -1, 1)))
+            lines[0] = " ".join(head)
+        elif kind == 3:
+            lines.insert(at, rng.choice(["m 1", "m 1 2 3", "M 1 2", "m x 3", "m 1.0 2", "m",
+                                         "x 1 2"]))
+        elif kind == 4:  # ids outside 1..n
+            lines.insert(at, f"m {rng.choice([0, n + 1, -1, u])} {rng.choice([u, n + 1])}")
+        elif kind == 5:
+            lines[at - 1] = lines[at - 1].replace(" ", "\t", rng.randint(1, 2))
+        elif kind == 6:  # the same id written differently
+            lines.insert(at, f"m {rng.choice(['+', '0', '00'])}{u} {v}")
+        elif kind == 7:
+            lines.insert(at, rng.choice(["# note", "", "   ", f"m {u} {v} # inline", "#m 1 2"]))
+        elif kind == 8 and len(lines) > 2:  # swap two steps
+            i, j = rng.sample(range(1, len(lines)), 2)
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[0] = rng.choice(["seq -1 0", "seq 0 0", lines[0] + " 1", "seq 3", "se 3 1",
+                                   f"seq {n + 1} {len(lines) - 1}"])
+    head = lines[0].split()
+    if len(head) == 3 and head[0] == "seq" and rng.random() < 0.5:  # make the count true
+        steps = sum(1 for line in lines[1:] if line.split("#", 1)[0].strip())
+        lines[0] = " ".join([*head[:2], str(steps)])
     return "\n".join(lines) + rng.choice(["", "\n"])

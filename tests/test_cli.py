@@ -361,6 +361,12 @@ def test_usage_errors(tmp_path, capsys):
     nae = tmp_path / "nae.cnf"
     nae.write_text(DEMO_NAE)
     one_error(["reduce", "3col", str(nae), "--k", "65"])  # one above threecol.MAX_K
+    # n = m = 1030 asks for over a million vertices; refused before any is built
+    big_nae = tmp_path / "big_nae.cnf"
+    big_nae.write_text(f"p cnf 1030 1030\n" + "".join(
+        f"{1 + j % 1030} -{1 + (j + 1) % 1030} {1 + (j + 2) % 1030} 0\n" for j in range(1030)))
+    one_error(["reduce", "3col", str(big_nae)])
+    one_error(["reduce", "3col", str(big_nae), "--k", "5"])
     # refused by formats.MAX_VERTICES before anything is allocated
     huge = tmp_path / "huge.tgf"
     huge.write_text("tgf 1000000000000 0 0\n")

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from corpus import random_formula
 from reference import (all_graphs, max_red_degree, pair_colors,
                        quotient_by_definition, redify)
-from twinwidth import (ContractionState, PartitionSequence, Trigraph,
-                       replay, sequence_from_vertex_merges, verify_d_sequence)
+from twinwidth import (ContractionState, Dialect, PartitionSequence, Trigraph,
+                       build_3col, build_3col_4sequence, replay,
+                       sequence_from_vertex_merges, verify_d_sequence)
 from twinwidth import Partition, WidthProfile, quotient
 from twinwidth import exact_twinwidth
 from twinwidth.errors import SequenceError
@@ -243,3 +245,83 @@ def test_engine_leaves_the_graph_alone(mincol_demo, mincol_demo_sequence):
             exact_twinwidth(g)
         assert list(g.black_adj + g.red_adj) == before
         assert replay(g, seq) == profile
+
+
+def _random_red_trigraph(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    black = [e for e in pairs if rng.random() < 0.35]
+    red = [e for e in pairs if e not in black and rng.random() < 0.2]
+    return Trigraph(n, black, red)
+
+
+def test_merge_all_matches_stepwise_merges_at_every_prefix():
+    """One merge_all over a prefix leaves the state that merge plus
+    max_red_degree reach step by step, and that state is the quotient."""
+    rng = random.Random(1919)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        g = _random_red_trigraph(rng, n)
+        script = _random_full_merges(n, rng)
+        stepwise = ContractionState(g)
+        parts = {v: frozenset([v]) for v in range(n)}
+        widths = []
+        for k, (a, b) in enumerate(script, start=1):
+            stepwise.merge(a, b)
+            widths.append(stepwise.max_red_degree())
+            a, b = min(a, b), max(a, b)
+            parts[a] = parts[a] | parts.pop(b)
+            state = ContractionState(g)
+            assert state.merge_all(script[:k]) == widths
+            assert state.live == stepwise.live == set(parts)
+            assert state.red_count == stepwise.red_count
+            assert pair_colors(state) == pair_colors(stepwise)
+            ordered = sorted(parts)
+            by_def = quotient_by_definition(g, [parts[r] for r in ordered])
+            assert pair_colors(state) == {(ordered[i], ordered[j]): color
+                                          for (i, j), color in by_def.items()}
+        assert replay(g, sequence_from_vertex_merges(n, script)).per_step_width == tuple(widths)
+
+
+def test_failed_step_in_merge_all_leaves_a_valid_state():
+    """A dead-part or same-part step raises mid-script; the state keeps the
+    steps before it, and its width is the one a scan of the live parts finds."""
+    rng = random.Random(4242)
+    risen = 0
+    for trial in range(60):
+        n = rng.randint(3, 12)
+        g = _random_red_trigraph(rng, n)
+        seq = sequence_from_vertex_merges(n, _random_full_merges(n, rng))
+        cut = rng.randint(1, len(seq.steps) - 1)
+        a, b = seq.steps[cut - 1]
+        bad, message = (((b, a), "references a dead part") if trial % 2 else
+                        ((a, a), "names the same part twice"))
+        state = ContractionState(g)
+        initial = state.max_red_degree()
+        with pytest.raises(SequenceError, match=message):
+            state.merge_all([*seq.steps[:cut], bad, *seq.steps[cut:]])
+        prefix = replay(g, PartitionSequence(n, seq.steps[:cut]))
+        assert state.max_red_degree() == _scanned_width(state) == prefix.per_step_width[-1]
+        assert len(state.live) == n - cut
+        risen += state.max_red_degree() > initial
+        # the state goes on from where the failed step left it
+        assert state.merge_all(seq.steps[cut:]) == list(replay(g, seq).per_step_width[cut:])
+    assert risen > 5
+
+
+def test_replay_is_one_merge_loop(monkeypatch):
+    """Replay runs the merge loop once: no merge call and no width query per step."""
+    inst = build_3col(random_formula(10, 40, Dialect.NAE_THREE_SAT, random.Random(10)))
+    seq = build_3col_4sequence(inst)
+    calls = {"merge": 0, "max_red_degree": 0}
+    for name in calls:
+        original = getattr(ContractionState, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(ContractionState, name, counted)
+    ok, profile = verify_d_sequence(inst.graph, seq, 4)
+    assert ok and len(profile.per_step_width) == inst.graph.n - 1 > 500
+    assert calls["merge"] == 0
+    assert calls["max_red_degree"] <= 1

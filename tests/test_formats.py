@@ -2,7 +2,8 @@ import random
 import time
 
 import pytest
-from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass
+from reference import (mutate_sequence_text, mutate_trigraph_text, read_outcome,
+                       read_sequence_by_helpers, read_trigraph_two_pass)
 
 from corpus import random_formula
 from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
@@ -128,6 +129,58 @@ def test_sequence_round_trip():
         sequence_from_vertex_merges(3, [(0, 1), (0, 2)])
     assert write_sequence(read_sequence("seq 4 3\nm 4 3\nm 2 4\nm 3 1\n")) == \
         "seq 4 3\nm 3 4\nm 2 3\nm 1 2\n"
+
+
+# (text, the start of the error both readers raise, or None when both read a sequence)
+SEQUENCE_TEXTS = [
+    ("seq\t3\t2\nm\t1 2\nm 2\t3\n", None),
+    ("seq 3 2\nm +1 02\nm 01 +3\n", None),
+    ("# a script\nseq 3 2 # two steps\nm 1 2 # first\n#m 1 3\nm 3 1\n", None),
+    ("seq 0 0\n", None),
+    ("seq 3 1\nm 1\n", "ParseError: malformed merge line: 'm 1'"),
+    ("seq 3 1\nm 1 2 3\n", "ParseError: malformed merge line: 'm 1 2 3'"),
+    ("seq 3 1\nM 1 2\n", "ParseError: malformed merge line: 'M 1 2'"),
+    ("seq 3 1\nm x 3\n", "ParseError: malformed merge line: 'm x 3'"),
+    ("seq 3 1\nm 1 2\nm 2 3\n", "ParseError: header declares 1 steps, found 2"),
+    ("seq 3 2\nm 1 2\n", "ParseError: header declares 2 steps, found 1"),
+    ("seq 3 1\nm 0 2\n", "ParseError: merge (0,2) out of range for n=3"),
+    ("seq 3 2\nm 1 2\nm 2 4\n", "ParseError: merge (2,4) out of range for n=3"),
+    ("seq 4 2\nm 1 2\nm 2 1\n", "ParseError: merge (2,1) names two vertices already"),
+    ("seq 4 3\nm 1 2\nm 3 4\nm 4 3\n", "ParseError: merge (4,3) names two vertices already"),
+    ("seq 3 1\nm 1 1\n", "ParseError: merge (1,1) names two vertices already"),
+    ("seq -1 0\n", "ParseError: vertex count must be non-negative, got -1"),
+    ("seq 3\n", "ParseError: malformed header: 'seq 3'"),
+    ("m 1 2\n", "ParseError: missing 'seq' header"),
+]
+
+
+@pytest.mark.parametrize("text, error", SEQUENCE_TEXTS)
+def test_sequence_reader_matches_reference(text, error):
+    outcome = read_outcome(read_sequence, text)
+    assert outcome == read_outcome(read_sequence_by_helpers, text)
+    assert outcome.startswith(error) if error else not isinstance(outcome, str)
+
+
+def test_sequence_reader_matches_reference_on_mutated_files():
+    rng = random.Random(19)
+    outcomes = []
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        parts, merges = [[v] for v in range(n)], []
+        for _ in range(rng.randint(0, n - 1)):
+            rng.shuffle(parts)
+            first, second = parts.pop(), parts.pop()
+            merges.append((rng.choice(first), rng.choice(second)))  # any vertex of each part
+            parts.append(first + second)
+        script = "".join(f"m {a + 1} {b + 1}\n" for a, b in merges)
+        text = mutate_sequence_text(f"seq {n} {len(merges)}\n{script}", rng)
+        outcomes.append(read_outcome(read_sequence, text))
+        assert outcomes[-1] == read_outcome(read_sequence_by_helpers, text), text
+    errors = [outcome for outcome in outcomes if isinstance(outcome, str)]
+    assert len(errors) < len(outcomes)
+    for fault in ["missing 'seq'", "malformed header", "malformed merge line", "out of range",
+                  "header declares", "already in the same part", "non-negative"]:
+        assert any(fault in error for error in errors), fault
 
 
 def test_coloring_round_trip():

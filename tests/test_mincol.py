@@ -11,6 +11,7 @@ from twinwidth import (CnfFormula, Coloring, Dialect, build_mincol,
                        sequence_from_vertex_merges, solve_sat,
                        verify_d_sequence)
 from twinwidth.errors import TwinwidthError
+from twinwidth.trigraph import MAX_VERTICES
 
 
 def test_demo_dimensions(mincol_demo):
@@ -99,6 +100,18 @@ def test_size_law_random():
         m = rng.randint(max(1, (n + 2) // 3), 8)
         f = random_formula(n, m, Dialect.THREE_SAT, rng)
         assert build_mincol(f).graph.n == (4 * n + 1) * (2 * n + m)
+
+
+def test_build_refuses_more_vertices_than_the_cap():
+    """Refused from the size law before the block graph is allocated."""
+    n, m = 250, 1000
+    f = CnfFormula(n, tuple((1 + j % n, -(1 + (j + 1) % n), 1 + (j + 2) % n) for j in range(m)),
+                   Dialect.THREE_SAT)
+    size = (4 * n + 1) * (2 * n + m)
+    assert size > MAX_VERTICES
+    with pytest.raises(TwinwidthError, match=f"^the instance would have {size} vertices, "
+                                             f"above the cap of {MAX_VERTICES}$"):
+        build_mincol(f)
 
 
 def test_sequence_verifies_at_3_not_2(mincol_demo, mincol_demo_sequence):

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
                        threecol_coloring_from_assignment, verify_d_sequence)
 from twinwidth.errors import TwinwidthError
 from twinwidth.threecol import MAX_K
+from twinwidth.trigraph import MAX_VERTICES
 
 
 def test_subdivision_positions_demo(nae_demo):
@@ -217,3 +219,40 @@ def test_lift_universal_vertices_touch_everything():
     adj = graph.black_adj
     for extra in range(inst.graph.n, graph.n):
         assert len(adj[extra]) == graph.n - 1
+
+
+def _threecol_size(f):
+    """The 3col size law: a path vertex per variable and column, the
+    subdivisions, a triangle per clause and the hub."""
+    return f.n_vars * f.n_clauses + len(subdivision_positions(f)) + 3 * f.n_clauses + 1
+
+
+def test_size_law_random():
+    rng = random.Random(19)
+    for _ in range(30):
+        n = rng.randint(3, 7)
+        f = random_formula(n, rng.randint((n + 2) // 3, 9), Dialect.NAE_THREE_SAT, rng)
+        inst = build_3col(f)
+        assert inst.graph.n == _threecol_size(f)
+        k = rng.randint(3, 6)
+        assert lift_to_k(inst, k)[0].n == _threecol_size(f) + k - 3
+
+
+def nae_cycle_formula(n, m):
+    """Clause j joins variables j, j+1 and j+2 (mod n), so every variable occurs."""
+    return CnfFormula(n, tuple((1 + j % n, -(1 + (j + 1) % n), 1 + (j + 2) % n)
+                               for j in range(m)), Dialect.NAE_THREE_SAT)
+
+
+def test_build_refuses_more_vertices_than_the_cap():
+    """Refused from the size law before any neighbor list is allocated, both
+    for the base graph and for the universal vertices a lift adds."""
+    f = nae_cycle_formula(1030, 1030)
+    assert _threecol_size(f) > MAX_VERTICES
+    with pytest.raises(TwinwidthError, match=f"^the instance would have {_threecol_size(f)} "
+                                             f"vertices, above the cap of {MAX_VERTICES}$"):
+        build_3col(f)
+    # a base graph at the cap can take no universal vertex
+    at_cap = SimpleNamespace(graph=SimpleNamespace(n=MAX_VERTICES))
+    with pytest.raises(TwinwidthError, match=f"would have {MAX_VERTICES + 1} vertices"):
+        lift_to_k(at_cap, 4)
