@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .cnf import Clause, CnfFormula, Dialect
 from .contraction import PartitionSequence, sequence_from_vertex_merges
-from .errors import OverlapError, ParseError, SequenceError
+from .errors import OverlapError, ParseError, SequenceError, TwinwidthError
 from .oracles import Coloring
 from .trigraph import MAX_VERTICES, Trigraph, edge_count
 
@@ -175,8 +175,7 @@ def parse_dimacs_cnf(text: str, dialect: Dialect = Dialect.THREE_SAT) -> CnfForm
         raise ParseError(f"trailing literals without terminating 0: {pending}")
     if len(clauses) != n_clauses:
         raise ParseError(f"header declares {n_clauses} clauses, found {len(clauses)}")
-    for clause in clauses:
-        for lit in clause:
-            if not 1 <= abs(lit) <= n_vars:
-                raise ParseError(f"literal {lit} out of range for {n_vars} variables")
-    return CnfFormula(n_vars, tuple(clauses), dialect)
+    try:
+        return CnfFormula(n_vars, tuple(clauses), dialect)
+    except TwinwidthError as exc:
+        raise ParseError(str(exc)) from None

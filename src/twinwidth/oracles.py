@@ -321,13 +321,13 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
             _, state, rep, pairs = stack[-1]
             for a, b in pairs:
                 if state.merged_width(a, b) <= d:
-                    child = state.merged(a, b)
-                    if len(child.live) == 1:
+                    if len(state.live) == 2:
                         merges = [frame[0] for frame in stack[1:]] + [(a, b)]
                         return d, sequence_from_vertex_merges(n, merges)
                     child_rep = tuple(a if r == b else r for r in rep)
-                    if child_rep not in failed:
+                    if child_rep not in failed:  # copy only the states descended into
                         spend(d)
+                        child = state.merged(a, b)
                         stack.append(((a, b), child, child_rep, combinations(sorted(child.live), 2)))
                         break
             else:

@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .cnf import (Assignment, CnfFormula, Dialect, literal_value,
-                  nae_satisfies)
+from .cnf import Assignment, CnfFormula, Dialect, nae_satisfies
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
@@ -52,21 +51,29 @@ def subdivision_positions(formula: CnfFormula) -> set[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ThreeColInstance:
+    """Ids run path by path, each path's vertices contiguous (a subdivision
+    sits one id below the path vertex it precedes), then the triangles
+    clause by clause, then the hub.
+    """
+
     formula: CnfFormula
     n: int
     m: int
     graph: Trigraph
-    path_orders: tuple[tuple[int, ...], ...]
-    # (variable, clause column) -> id of its path / subdivision vertex;
-    # derived from the rest, so left out of equality and hashing
+    # derived from the formula, so left out of equality and hashing:
+    # (variable, clause column) -> path vertex id, and the subdivided positions
     path_index: Mapping[tuple[int, int], int] = field(compare=False, repr=False)
-    subdiv_index: Mapping[tuple[int, int], int] = field(compare=False, repr=False)
+    subdivisions: frozenset[tuple[int, int]] = field(compare=False, repr=False)
 
     def path_vertex(self, i: int, j: int) -> int:
         return self.path_index[(i, j)]
 
+    def path(self, i: int) -> range:
+        """Variable i's path vertices and subdivisions, in path order."""
+        return range(self.path_vertex(i, 1), self.path_vertex(i, self.m) + 1)
+
     def triangle(self, j: int, slot: str) -> int:
-        base = len(self.path_index) + len(self.subdiv_index)
+        base = self.n * self.m + len(self.subdivisions)
         return base + 3 * (j - 1) + _SLOTS.index(slot)
 
     @property
@@ -81,51 +88,45 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
     n, m = formula.n_vars, formula.n_clauses
     if n < 1 or m < 1:
         raise TwinwidthError("need at least one variable and one clause")
-    subdivisions = subdivision_positions(formula)
+    subdivisions = frozenset(subdivision_positions(formula))
     size = n * m + len(subdivisions) + 3 * m + 1  # paths, subdivisions, triangles, hub
     check_vertex_count(size)
     adj: list = [[] for _ in range(size)]  # neighbor lists
+    # each id is drawn once, so every list that names a vertex shares one int
+    ids = iter(range(size))
     labels: dict[int, str] = {}
-    next_id = 0
-    path_orders: list[tuple[int, ...]] = []
     path_at: dict[tuple[int, int], int] = {}
-    subdiv_at: dict[tuple[int, int], int] = {}
     for i in range(1, n + 1):
-        order = []
+        prev = None
         for j in range(1, m + 1):
-            if (i, j) in subdivisions:
-                labels[next_id] = f"S {i} {j}"
-                subdiv_at[(i, j)] = next_id
-                order.append(next_id)
-                next_id += 1
-            labels[next_id] = f"P {i} {j}"
-            path_at[(i, j)] = next_id
-            order.append(next_id)
-            next_id += 1
-        for u, v in zip(order, order[1:]):
-            adj[u].append(v)
-            adj[v].append(u)
-        path_orders.append(tuple(order))
+            for kind in ("S", "P") if (i, j) in subdivisions else ("P",):
+                vid = next(ids)
+                labels[vid] = f"{kind} {i} {j}"
+                if prev is not None:
+                    adj[prev].append(vid)
+                    adj[vid].append(prev)
+                prev = vid
+            path_at[(i, j)] = vid
+    on_paths = list(labels)  # every path vertex and subdivision, in id order
 
     for j in range(1, m + 1):
-        u, v, w = next_id, next_id + 1, next_id + 2
+        u, v, w = next(ids), next(ids), next(ids)
         for vid, slot in zip((u, v, w), _SLOTS):
             labels[vid] = f"T {j} {slot}"
         adj[u], adj[v], adj[w] = [v, w], [u, w], [v, u]
-        next_id += 3
         for slot_id, lit in zip((u, v, w), formula.clauses[j - 1]):
             x = path_at[(abs(lit), j)]
             adj[slot_id].append(x)
             adj[x].append(slot_id)
 
-    hub = next_id
+    hub = next(ids)
     labels[hub] = "Z"
-    adj[hub] = [vid for order in path_orders for vid in order]
-    for vid in adj[hub]:
+    adj[hub] = on_paths
+    for vid in on_paths:
         adj[vid].append(hub)
 
     graph = Trigraph._from_lists(len(adj), adj, [()] * len(adj), labels)
-    return ThreeColInstance(formula, n, m, graph, tuple(path_orders), path_at, subdiv_at)
+    return ThreeColInstance(formula, n, m, graph, path_at, subdivisions)
 
 
 def build_3col_4sequence(inst: ThreeColInstance) -> PartitionSequence:
@@ -140,8 +141,9 @@ def build_3col_4sequence(inst: ThreeColInstance) -> PartitionSequence:
         u, v, w = (inst.triangle(j, s) for s in _SLOTS)
         merges.append((u, v))
         merges.append((u, w))
-    for (i, j), subdiv in inst.subdiv_index.items():
-        merges.append((inst.path_vertex(i, j), subdiv))
+    for i, j in sorted(inst.subdivisions):
+        vid = inst.path_vertex(i, j)
+        merges.append((vid, vid - 1))
     for i in range(2, inst.n + 1):
         for j in range(1, inst.m + 1):
             merges.append((inst.path_vertex(1, j), inst.path_vertex(i, j)))
@@ -167,12 +169,10 @@ def threecol_coloring_from_assignment(inst: ThreeColInstance,
     colors[inst.z] = 3
     for i in range(1, inst.n + 1):
         j_star, sign = inst.formula.occurrences(i)[0]
-        lit = i if sign else -i
-        anchor_color = 1 if literal_value(lit, assignment) else 2
-        order = inst.path_orders[i - 1]
-        anchor_pos = order.index(inst.path_vertex(i, j_star))
-        for pos, vid in enumerate(order):
-            colors[vid] = anchor_color if (pos - anchor_pos) % 2 == 0 else 3 - anchor_color
+        anchor = inst.path_vertex(i, j_star)
+        anchor_color = 1 if assignment[i] == sign else 2
+        for vid in inst.path(i):
+            colors[vid] = anchor_color if (vid - anchor) % 2 == 0 else 3 - anchor_color
     for j, clause in enumerate(inst.formula.clauses, start=1):
         neighbor = [colors[inst.path_vertex(abs(lit), j)] for lit in clause]
         a, b = next((a, b) for a, b in ((0, 1), (0, 2), (1, 2))
@@ -203,17 +203,12 @@ def threecol_assignment_from_coloring(inst: ThreeColInstance,
 
     assignment: Assignment = {}
     for i in range(1, inst.n + 1):
-        occ = inst.formula.occurrences(i)
-        by_sign = {True: set(), False: set()}
-        for j, sign in occ:
-            by_sign[sign].add(normalized[inst.path_vertex(i, j)])
-        if len(by_sign[True]) > 1 or len(by_sign[False]) > 1 or \
-                (by_sign[True] and by_sign[True] == by_sign[False]):
+        # each occurrence implies a value: color 1 on a positive one means True
+        values = {(normalized[inst.path_vertex(i, j)] == 1) == sign
+                  for j, sign in inst.formula.occurrences(i)}
+        if len(values) > 1:
             raise TwinwidthError(f"occurrence colors of variable {i} violate parity")
-        if by_sign[True]:
-            assignment[i] = by_sign[True] == {1}
-        else:
-            assignment[i] = not (by_sign[False] == {1})
+        assignment[i] = values.pop()
     if not nae_satisfies(inst.formula, assignment):
         raise TwinwidthError("extracted assignment does not NAE-satisfy the formula")
     return assignment

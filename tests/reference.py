@@ -3,17 +3,18 @@
 Everything here is deliberately written from the definitions, in a
 different style from the package (flag scans instead of counters, raw
 enumeration instead of branch and bound), so agreement is meaningful.
-The exceptions are `read_trigraph_two_pass` and `read_sequence_by_helpers`,
-the package's earlier trigraph and sequence readers, kept so that the
-one-pass readers can be compared with them message for message.  The
+The exceptions are `read_trigraph_two_pass`, `read_sequence_by_helpers`
+and `threecol_assignment_by_sets`, the package's earlier trigraph and
+sequence readers and 3col backward map, kept so that the current code
+can be compared with them message for message.  The
 first three functions and the last three are not references but small
 helpers that only tests call.
 """
 
 import itertools
 
-from twinwidth import Partition, PartitionSequence, Trigraph, quotient
-from twinwidth.cnf import Dialect, literal_value
+from twinwidth import Partition, PartitionSequence, Trigraph, is_proper, quotient
+from twinwidth.cnf import Dialect, literal_value, nae_satisfies
 from twinwidth.errors import OverlapError, ParseError, TwinwidthError
 from twinwidth.formats import _header
 
@@ -315,6 +316,36 @@ def read_sequence_by_helpers(text):
         parent[hi] = lo
         steps.append((lo, hi))
     return PartitionSequence(n, tuple(steps))
+
+
+def threecol_assignment_by_sets(inst, col):
+    """The 3col backward map with its parity rule as first written: the
+    occurrence colors of each sign form a set, each set holds at most one
+    color, and the two sets differ."""
+    if max(col.colors) > 3:
+        raise TwinwidthError(f"coloring uses color {max(col.colors)}, budget is 3")
+    if not is_proper(inst.graph, col):
+        raise TwinwidthError("coloring is not proper")
+    c_hub = col.colors[inst.z]
+    c_first = col.colors[inst.path_vertex(1, 1)]
+    perm = {c_hub: 3, c_first: 1}
+    perm.update({c: 2 for c in (1, 2, 3) if c not in perm})
+    normalized = [perm[c] for c in col.colors]
+    assignment = {}
+    for i in range(1, inst.n + 1):
+        by_sign = {True: set(), False: set()}
+        for j, sign in inst.formula.occurrences(i):
+            by_sign[sign].add(normalized[inst.path_vertex(i, j)])
+        if len(by_sign[True]) > 1 or len(by_sign[False]) > 1 or \
+                (by_sign[True] and by_sign[True] == by_sign[False]):
+            raise TwinwidthError(f"occurrence colors of variable {i} violate parity")
+        if by_sign[True]:
+            assignment[i] = by_sign[True] == {1}
+        else:
+            assignment[i] = not (by_sign[False] == {1})
+    if not nae_satisfies(inst.formula, assignment):
+        raise TwinwidthError("extracted assignment does not NAE-satisfy the formula")
+    return assignment
 
 
 def read_outcome(read, text):

@@ -177,7 +177,7 @@ def test_acceptance_06_threecol_size_bound(threecol_200, threecol_demo):
             bound = 3 * f.n_clauses + (2 * f.n_clauses - 1) * f.n_vars + 1
             assert inst.graph.n <= bound
         assert threecol_demo.graph.n == 91
-        assert threecol_demo.subdiv_index.keys() == NAE_DEMO_SUBDIVISIONS
+        assert threecol_demo.subdivisions == NAE_DEMO_SUBDIVISIONS
         info["detail"] = f"{len(threecol_200)} random formulas + frozen demo, "
 
 
@@ -218,7 +218,7 @@ def test_acceptance_09_parity_property(threecol_200, threecol_demo):
         paths = 0
         for inst in instances:
             for i in range(1, inst.n + 1):
-                order = inst.path_orders[i - 1]
+                order = inst.path(i)
                 occ = inst.formula.occurrences(i)
                 pos = {v: t for t, v in enumerate(order)}
                 for first_color in (1, 2):

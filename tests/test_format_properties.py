@@ -8,9 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass  # noqa: E402
+from test_cli_properties import DEMOS, mutated  # noqa: E402
 
-from twinwidth import Dialect, Trigraph  # noqa: E402
-from twinwidth.errors import TwinwidthError  # noqa: E402
+from twinwidth import CnfFormula, Dialect, Trigraph  # noqa: E402
+from twinwidth.errors import ParseError  # noqa: E402
 from twinwidth.formats import (parse_dimacs_cnf, read_sequence,  # noqa: E402
                                read_trigraph, write_trigraph)
 
@@ -58,10 +59,10 @@ def trigraph_texts(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(trigraph_texts())
-def test_reader_returns_a_trigraph_or_a_twinwidth_error(text):
+def test_reader_returns_a_trigraph_or_a_parse_error(text):
     try:
         g = read_trigraph(text)
-    except TwinwidthError:
+    except ParseError:
         return
     assert isinstance(g, Trigraph)
 
@@ -90,8 +91,20 @@ READERS = {
 @pytest.mark.parametrize("reader", sorted(READERS))
 @settings(max_examples=200, deadline=None)
 @given(text=st.lists(ID_LINES | OTHER_LINES, max_size=6).map("\n".join))
-def test_other_readers_return_a_value_or_a_twinwidth_error(reader, text):
+def test_other_readers_return_a_value_or_a_parse_error(reader, text):
     try:
         READERS[reader](text)
-    except TwinwidthError:
+    except ParseError:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.sampled_from([DEMOS["demo.cnf"], DEMOS["nae.cnf"]]).flatmap(mutated),
+       dialect=st.sampled_from(Dialect))
+def test_dimacs_reader_returns_a_formula_or_a_parse_error(text, dialect):
+    # the formula's own checks (counts, negations, repeats, unused variables) included
+    try:
+        f = parse_dimacs_cnf(text, dialect)
+    except ParseError:
+        return
+    assert isinstance(f, CnfFormula) and f.dialect is dialect

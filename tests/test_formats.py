@@ -7,7 +7,7 @@ from reference import (mutate_sequence_text, mutate_trigraph_text, read_outcome,
 
 from corpus import random_formula
 from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
-from twinwidth.errors import ParseError, TwinwidthError
+from twinwidth.errors import ParseError
 from twinwidth.formats import (parse_dimacs_cnf, read_sequence, read_trigraph,
                                write_assignment, write_coloring, write_roles,
                                write_sequence, write_trigraph)
@@ -208,7 +208,7 @@ def test_parse_dimacs_demo():
 def test_parse_dimacs_dialect_flag_not_content():
     text = "p cnf 3 1\n1 2 3 0\n"
     assert parse_dimacs_cnf(text, Dialect.NAE_THREE_SAT).dialect is Dialect.NAE_THREE_SAT
-    with pytest.raises(TwinwidthError, match="repeats a variable"):
+    with pytest.raises(ParseError, match="repeats a variable"):
         parse_dimacs_cnf("p cnf 2 1\n1 1 2 0\n", Dialect.NAE_THREE_SAT)
 
 
@@ -221,8 +221,8 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("1 2 3 0\n")  # no problem line
     with pytest.raises(ParseError):
         parse_dimacs_cnf("p cnf 3 1\n1 2 3\n")  # missing terminator
-    with pytest.raises(ParseError):
-        parse_dimacs_cnf("p cnf 2 1\n1 2 9 0\n")  # literal out of range
+    with pytest.raises(ParseError, match="^literal 9 out of range for 2 variables$"):
+        parse_dimacs_cnf("p cnf 2 1\n1 2 9 0\n")
     with pytest.raises(ParseError, match="second problem line: 'p cnf 3 1'"):
         parse_dimacs_cnf("p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
     with pytest.raises(ParseError, match="second problem line: 'p cnf 3 2'"):
@@ -233,8 +233,25 @@ def test_parse_dimacs_errors():
         parse_dimacs_cnf("p cnf x 1\n1 2 3 0\n")
     with pytest.raises(ParseError, match="malformed clause line: '1 y 3 0'"):
         parse_dimacs_cnf("p cnf 3 1\n1 y 3 0\n")
-    with pytest.raises(TwinwidthError, match="variable 4 occurs in no clause"):
-        parse_dimacs_cnf("p cnf 4 1\n1 2 3 0\n")
+
+
+@pytest.mark.parametrize("text, dialect, message", [
+    ("p cnf -1 0\n", Dialect.THREE_SAT, "variable count must be non-negative, got -1"),
+    ("p cnf 2 1\n1 2 -1 0\n", Dialect.THREE_SAT,
+     r"clause \(1, 2, -1\) contains a variable and its negation"),
+    ("p cnf 2 1\n1 1 2 0\n", Dialect.NAE_THREE_SAT, r"NAE clause \(1, 1, 2\) repeats a variable"),
+    ("p cnf 4 1\n1 2 3 0\n", Dialect.THREE_SAT, "variable 4 occurs in no clause"),
+])
+def test_parse_dimacs_formula_faults_are_parse_errors(text, dialect, message):
+    # CnfFormula finds these; the reader raises its message again as a ParseError
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_dimacs_cnf(text, dialect)
+
+
+def test_parse_dimacs_names_the_first_faulty_clause():
+    # clause 1 repeats a variable and clause 2 has a literal out of range
+    with pytest.raises(ParseError, match=r"^NAE clause \(1, 1, 2\) repeats a variable$"):
+        parse_dimacs_cnf("p cnf 2 2\n1 1 2 0\n1 2 9 0\n", Dialect.NAE_THREE_SAT)
 
 
 def test_parse_dimacs_multiline_clauses():

@@ -307,6 +307,29 @@ def test_exact_twinwidth_budget_zero_scores_no_pair(monkeypatch):
     assert calls == 0
 
 
+def test_exact_twinwidth_copies_only_the_states_it_descends_into(monkeypatch):
+    # the budget counts one per level and one per descent, so a search that
+    # copies a state only to descend makes budget - levels copies
+    calls = 0
+    merged = ContractionState.merged
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return merged(self, a, b)
+
+    monkeypatch.setattr(ContractionState, "merged", counted)
+    copies = {}
+    for name, g in _pinned_twinwidth_graphs().items():
+        width, _, budget = TWINWIDTH_PINS[name]
+        levels = width - ContractionState(g).max_red_degree() + 1
+        calls = 0
+        exact_twinwidth(g)
+        copies[name] = (calls, budget - levels)
+    assert all(made == expected for made, expected in copies.values()), copies
+    assert copies["width1-7"] == (9, 9)
+
+
 def test_exact_twinwidth_skip_bound_is_sound():
     # each budget short of deciding raises with a lower bound that brute force confirms
     for seed in range(150):

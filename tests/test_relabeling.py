@@ -49,10 +49,10 @@ def test_threecol_relabeling_keeps_size_width_and_verdict():
     for n, m, seed in [(3, 6, 0), (4, 5, 1), (5, 6, 2)]:  # the first is unsatisfiable
         f = random_formula(n, m, Dialect.NAE_THREE_SAT, random.Random(seed))
         base = build_3col(f)
-        size = _size(base.graph, len(base.subdiv_index))
+        size = _size(base.graph, len(base.subdivisions))
         for g in _relabelings(f, 200 + seed):
             inst = build_3col(g)
-            assert _size(inst.graph, len(inst.subdiv_index)) == size
+            assert _size(inst.graph, len(inst.subdivisions)) == size
             assert verify_d_sequence(inst.graph, build_3col_4sequence(inst), 4)[0]
             colorable = is_k_colorable(inst.graph, 3, COLOR_BUDGET)[0]
             assert colorable == (solve_nae(g) is not None)

@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
 
 from conftest import NAE_DEMO_SUBDIVISIONS
 from corpus import nae_unsat_formula, random_formula
-from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
+from reference import read_outcome, threecol_assignment_by_sets
+from twinwidth import (CnfFormula, Coloring, Dialect, Trigraph, build_3col,
                        build_3col_4sequence, is_k_colorable, is_proper,
                        lift_to_k, nae_satisfies, solve_nae,
                        subdivision_positions, threecol_assignment_from_coloring,
@@ -44,7 +48,7 @@ def test_demo_dimensions(threecol_demo):
     inst = threecol_demo
     assert inst.graph.n == 91
     assert inst.graph.n <= 3 * inst.m + (2 * inst.m - 1) * inst.n + 1
-    assert inst.subdiv_index.keys() == NAE_DEMO_SUBDIVISIONS
+    assert inst.subdivisions == NAE_DEMO_SUBDIVISIONS
 
 
 def test_single_clause_instance():
@@ -60,9 +64,9 @@ def test_single_clause_instance():
 def test_hub_adjacency_and_degrees(threecol_demo):
     inst = threecol_demo
     adj = inst.graph.black_adj
-    path_vertices = {v for order in inst.path_orders for v in order}
+    path_vertices = {v for i in range(1, inst.n + 1) for v in inst.path(i)}
     assert adj[inst.z] == path_vertices
-    assert len(adj[inst.z]) == sum(len(o) for o in inst.path_orders)
+    assert len(adj[inst.z]) == sum(len(inst.path(i)) for i in range(1, inst.n + 1))
     for j in range(1, inst.m + 1):
         for slot in "uvw":
             assert len(adj[inst.triangle(j, slot)]) == 3
@@ -85,12 +89,76 @@ def test_triangle_outgoing_edges_follow_literal_order(threecol_demo):
 def test_parity_property(threecol_demo):
     inst = threecol_demo
     for i in range(1, inst.n + 1):
-        order = inst.path_orders[i - 1]
+        order = inst.path(i)
         pos = {v: t for t, v in enumerate(order)}
         occ = inst.formula.occurrences(i)
         for (j1, s1), (j2, s2) in zip(occ, occ[1:]):
             dist = pos[inst.path_vertex(i, j2)] - pos[inst.path_vertex(i, j1)]
             assert (dist % 2 == 0) == (s1 == s2)
+
+
+def test_layout_accessors_name_their_roles():
+    """Each accessor's id carries the role it stands for, in the base graph
+    and in its lifts, which keep the base ids."""
+    rng = random.Random(20_240_202)
+    for _ in range(100):
+        n = rng.randint(3, 7)
+        f = random_formula(n, rng.randint((n + 2) // 3, 8), Dialect.NAE_THREE_SAT, rng)
+        inst = build_3col(f)
+        for k in (3, rng.randint(4, 6)):
+            graph = lift_to_k(inst, k)[0]
+            labels = graph.labels
+            on_path = {i: set() for i in range(1, n + 1)}  # ids of the P i and S i roles
+            subdivided = set()
+            for v, role in labels.items():
+                kind, *coords = role.split()
+                if kind in "PS":
+                    on_path[int(coords[0])].add(v)
+                if kind == "S":
+                    subdivided.add((int(coords[0]), int(coords[1])))
+            assert subdivided == inst.subdivisions
+            for i in range(1, n + 1):
+                path = inst.path(i)
+                assert set(path) == on_path[i]
+                assert all(v + 1 in graph.black_adj[v] for v in path[:-1])
+                for j in range(1, inst.m + 1):
+                    v = inst.path_vertex(i, j)
+                    assert labels[v] == f"P {i} {j}"
+                    if (i, j) in inst.subdivisions:
+                        assert labels[v - 1] == f"S {i} {j}"
+            for j in range(1, inst.m + 1):
+                for slot in "uvw":
+                    assert labels[inst.triangle(j, slot)] == f"T {j} {slot}"
+            assert labels[inst.z] == "Z"
+
+
+def test_backward_map_agrees_with_the_two_set_rule():
+    """Same assignment or same error as the parity rule as first written, on
+    oracle colorings and recolorings of them.  Without its path edges the
+    graph lets a proper coloring break parity, so that error is reached too."""
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        f = random_formula(n, rng.randint((n + 2) // 3, 7), Dialect.NAE_THREE_SAT, rng)
+        inst = build_3col(f)
+        colorable, witness = is_k_colorable(inst.graph, 3, budget=5_000_000)
+        if not colorable:
+            continue
+        paths_end = inst.triangle(1, "u")  # path and subdivision ids lie below
+        pathless = replace(inst, graph=Trigraph(inst.graph.n, [
+            (u, v) for u, v in inst.graph.black if max(u, v) >= paths_end]))
+        for target in (inst, pathless):
+            for _ in range(20):
+                colors = list(witness.colors)
+                for _ in range(rng.randint(0, 3)):  # half of them on a path
+                    colors[rng.randrange(rng.choice((paths_end, len(colors))))] = rng.randint(1, 3)
+                col = Coloring(tuple(colors), 3)
+                got = read_outcome(partial(threecol_assignment_from_coloring, target), col)
+                assert got == read_outcome(partial(threecol_assignment_by_sets, target), col)
+                seen[got.split(" of variable")[0] if isinstance(got, str) else "mapped"] += 1
+    assert seen.keys() == {"mapped", "TwinwidthError: coloring is not proper",
+                           "TwinwidthError: occurrence colors"}, seen
 
 
 def test_sequence_verifies_at_4_not_3(threecol_demo, threecol_demo_sequence):
