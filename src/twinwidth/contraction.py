@@ -83,7 +83,7 @@ class ContractionState:
     """Incremental quotient of a fixed base trigraph under merges.
 
     red_count[d] is the number of live parts of red degree d and top is
-    at least the largest such d, so a replay costs its merges' own work
+    the largest such d, so a replay costs its merges' own work
     and not a scan of the live parts per step.  A dead part's neighbor
     sets are the shared empty frozenset, which nothing writes to.
     """
@@ -204,11 +204,7 @@ class ContractionState:
         return max(width, top)
 
     def max_red_degree(self) -> int:
-        count, top = self.red_count, self.top
-        while top and not count[top]:
-            top -= 1
-        self.top = top
-        return top
+        return self.top
 
 
 def replay(g: Trigraph, seq: PartitionSequence) -> WidthProfile:

@@ -61,13 +61,16 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     a, b, v = layout.a, layout.b, layout.v
     # Each side is the (2n-1)-th power of a path: vertices at path
     # distance < 2n are adjacent.  Block i's apex gets its list from join.
-    adj: list = [[*range(max(lo, x - width + 1), x), *range(x + 1, min(lo + side, x + width))]
+    # Lists slice one shared int per id rather than making one per mention.
+    ids = list(range((4 * n + 1) * p))
+    adj: list = [ids[max(lo, x - width + 1):x] + ids[x + 1:min(lo + side, x + width)]
                  for lo in (0, side) for x in range(lo, lo + side)] + [()] * p
 
     def join(block: int, nbrs: list[int]) -> None:
-        adj[v(block)] = nbrs
+        apex = ids[v(block)]
+        adj[apex] = [ids[u] for u in nbrs]
         for u in nbrs:
-            adj[u].append(v(block))
+            adj[u].append(apex)
 
     # Variable apexes: v_{2i-1} and v_{2i} miss three block vertices each.
     for i in range(1, n + 1):

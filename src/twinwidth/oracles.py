@@ -90,21 +90,20 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
                    ) -> tuple[bool, Coloring | None]:
     """Exact k-colorability with a witness coloring on success.
 
-    Backtracking with conflict-directed backjumping, on an explicit stack
-    of colored levels, as is the k-clique enumeration.  A greedy maximum
-    clique is colored 1, 2, ... first, at level -1 (with more than k
-    members it rules k colors out); a new color may then only be max
-    used + 1.  Selection: highest saturation (distinct colors on colored
-    neighbors), ties by descending degree then id; a vertex with at most
-    one color left is taken as soon as the scan meets it.  A dead end
-    jumps to the deepest level that pruned one of its colors.
+    Chronological backtracking on an explicit stack of colored levels, as
+    is the k-clique enumeration.  A greedy maximum clique is colored 1,
+    2, ... first (with more than k members it rules k colors out); a new
+    color may then only be max used + 1.  Selection: highest saturation
+    (distinct colors on colored neighbors), ties by descending degree then
+    id; a vertex with at most one color left is taken as soon as the scan
+    meets it.  A dead end, or a level with no colors left, takes back the
+    deepest level's color and tries its next one.
 
     Hall check: a k-clique must use all k colors.  For up to n k-cliques
     (met within n*k enumeration nodes) the search counts, per color, the
     members that hold it or could still take it.  A count of 0 is a dead
-    end, blamed on the levels that colored those members or forbade the
-    color on them; at 1 its last supporter is the next vertex, that color
-    first.  Budgets count precolored vertices and colors tried.
+    end; at 1 its last supporter is the next vertex, that color first.
+    Budgets count precolored vertices and colors tried.
 
     `order` and `clique` are `_base_order(g)` and `greedy_clique(g, order)`,
     when the caller has computed them already.
@@ -120,14 +119,9 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
         return False, None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
     colors = [0] * n
-    level = [0] * n  # search level that colored each vertex; -1 for the clique
     forbidden = [0] * n
     saturation = [0] * n
-    # contributor[v][bit]: level whose assignment forbade that color on v
-    contributor: list[dict[int, int]] = [dict() for _ in range(n)]
-    introducer = [-1] * (k + 1)  # level that first used each color; read while it is open
     forced = k - 1
-    full = (1 << k) - 1
     spend = _meter(budget, "coloring")
 
     # the first n k-cliques met within n*k enumeration nodes, ids ascending;
@@ -164,41 +158,29 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
     support = [[k] * (k + 1) for _ in cliques]
     singles: list[tuple[int, int]] = []  # (vertex, bit): sole supporter of a color
 
-    def blame(vertex: int, mask: int) -> set[int]:
-        levels = set()
-        bits = forbidden[vertex] & mask
-        contrib = contributor[vertex]
-        while bits:
-            bit = bits & -bits
-            bits ^= bit
-            levels.add(contrib[bit])
-        return levels
-
-    def place(v: int, bit: int, depth: int):
-        """Color v and propagate; returns (touched, lost supports, dead-end blame or None)."""
+    def place(v: int, bit: int):
+        """Color v and propagate; returns (touched, lost supports, dead end)."""
         color = colors[v] = bit.bit_length()
-        level[v] = depth
         touched = []
         lost = [(q, c) for c in range(1, k + 1) if c != color and not forbidden[v] >> (c - 1) & 1
                 for q in member_of[v]]
-        dead = None
+        dead = False
         for u in adj[v]:
             if not colors[u] and not forbidden[u] & bit:
                 forbidden[u] |= bit
                 saturation[u] += 1
-                contributor[u][bit] = depth
                 touched.append(u)
-                if saturation[u] == k and dead is None:
-                    dead = blame(u, full)
+                if saturation[u] == k:
+                    dead = True
                 for q in member_of[u]:
                     lost.append((q, color))
         for q, c in lost:
             count = support[q]
             count[c] -= 1
-            b = 1 << (c - 1)
-            if count[c] == 0 and dead is None:
-                dead = {level[w] if colors[w] else contributor[w][b] for w in cliques[q]}
+            if count[c] == 0:
+                dead = True
             elif count[c] == 1:
+                b = 1 << (c - 1)
                 for w in cliques[q]:
                     if not colors[w] and not forbidden[w] & b:
                         singles.append((w, b))
@@ -207,16 +189,15 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
 
     for i, v in enumerate(clique):
         spend()
-        if place(v, 1 << i, -1)[2] is not None:
+        if place(v, 1 << i)[2]:
             return False, None
-    # per colored level: vertex, colors left, conflict, max used before it, undo record
+    # per colored level: vertex, colors left, max used before it, undo record
     stack: list[tuple] = []
     max_used = len(clique)
-    result = None  # (jump level, culprits) from the level just closed
+    back = False  # the level just closed failed
     while True:
-        if result is None:  # open the next level
-            depth = len(stack)
-            if depth == n - len(clique):
+        if not back:  # open the next level
+            if len(stack) == n - len(clique):
                 return True, Coloring(tuple(colors), k)
             v, first = -1, 0
             for u, b in reversed(singles):
@@ -231,44 +212,30 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
                         v = u
                         if best >= forced:
                             break
-            mask = (1 << (max_used + 1 if max_used < k else k)) - 1
-            allowed = ~forbidden[v] & mask
+            allowed = ~forbidden[v] & ((1 << min(max_used + 1, k)) - 1)
             first &= allowed
-            conflict = blame(v, mask)
-            if mask != full:
-                # colors above max_used+1 were cut by symmetry, not by a
-                # neighbor; the cut is owned by the deepest color introducer
-                conflict.add(introducer[max_used])
         elif not stack:
             return False, None
         else:  # take back the deepest level's color
-            v, allowed, conflict, max_used, bit, mark, touched, lost = stack.pop()
-            depth = len(stack)
+            v, allowed, max_used, bit, mark, touched, lost = stack.pop()
             for u in touched:
                 forbidden[u] ^= bit
                 saturation[u] -= 1
             for q, c in lost:
                 support[q][c] += 1
             del singles[mark:]
-            if result[0] >= depth:  # no jump past this level: try its next color
-                conflict |= result[1]
-                conflict.discard(depth)
-                result = None
-        if result or not allowed:  # jump on, or every color of this level failed
+        if not allowed:  # every color of this level failed
             colors[v] = 0
-            result = result or (max(conflict, default=-1), conflict)
+            back = True
             continue
         bit = first or allowed & -allowed
         first = 0
         allowed ^= bit
         spend()
         mark = len(singles)
-        touched, lost, dead = place(v, bit, depth)
-        stack.append((v, allowed, conflict, max_used, bit, mark, touched, lost))
-        result = None if dead is None else (depth, dead)
-        if bit.bit_length() > max_used:  # a new color, owned by this level
-            max_used = bit.bit_length()
-            introducer[max_used] = depth
+        touched, lost, back = place(v, bit)
+        stack.append((v, allowed, max_used, bit, mark, touched, lost))
+        max_used = max(max_used, bit.bit_length())
 
 
 def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Coloring]:

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict
 lines.  Oracle budgets are node-expansion counts pinned here; they are
 sized far above observed usage so results are deterministic and the
-whole suite stays well under its time budget.
+whole suite stays well under its time budget.  One more test pins the
+coloring search's expansions on two of the corpora.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from twinwidth import (ContractionState, Dialect, Partition, Trigraph,
                        satisfies, solve_nae,
                        solve_sat, threecol_coloring_from_assignment,
                        verify_d_sequence)
+from twinwidth import oracles
 from conftest import NAE_DEMO_SUBDIVISIONS
 
 COLOR_BUDGET = 50_000_000
@@ -210,6 +212,35 @@ def test_acceptance_08_threecol_equivalence(nae_corpus, threecol_demo,
                 vertex = threecol_demo.path_vertex(abs(lit), j)
                 assert (col.colors[vertex] == 1) == value
         info["detail"] = f"{len(nae_corpus)} formulas + demo witness pattern, "
+
+
+def test_coloring_work_on_the_equivalence_corpora(sat_corpus_verdicts, threecol_200,
+                                                   monkeypatch):
+    """The search's expansions over criterion 04's formulas at k = 2n and
+    the threecol_200 graphs at k = 3.  They do not depend on the machine,
+    and any change to the search's order or pruning moves them."""
+    calls = 0
+    meter = oracles._meter
+
+    def counted(budget, search):
+        spend = meter(budget, search)
+
+        def counted_spend(lower=None):
+            nonlocal calls
+            calls += 1
+            spend(lower)
+        return counted_spend
+
+    monkeypatch.setattr(oracles, "_meter", counted)
+    work = {}
+    for name, cases in (("mincol", [(inst.graph, inst.color_budget)
+                                    for _, inst, _ in sat_corpus_verdicts]),
+                        ("threecol", [(inst.graph, 3) for _, inst in threecol_200])):
+        calls = 0
+        for g, k in cases:
+            is_k_colorable(g, k)
+        work[name] = calls
+    assert work == {"mincol": 50_152, "threecol": 10_858}
 
 
 def test_acceptance_09_parity_property(threecol_200, threecol_demo):

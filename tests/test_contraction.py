@@ -273,6 +273,8 @@ def test_merge_all_matches_stepwise_merges_at_every_prefix():
             state = ContractionState(g)
             assert state.merge_all(script[:k]) == widths
             assert state.live == stepwise.live == set(parts)
+            for merged in (state, stepwise):
+                assert merged.max_red_degree() == max(len(merged.red_adj[v]) for v in merged.live)
             assert state.red_count == stepwise.red_count
             assert pair_colors(state) == pair_colors(stepwise)
             ordered = sorted(parts)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from corpus import random_formula
-from twinwidth import (CnfFormula, Coloring, Dialect, build_mincol,
+from twinwidth import (CnfFormula, Coloring, Dialect, build_3col, build_mincol,
                        build_mincol_3sequence, is_k_colorable, is_proper,
                        mincol_assignment_from_coloring,
                        mincol_coloring_from_assignment, replay, satisfies,
@@ -100,6 +100,19 @@ def test_size_law_random():
         m = rng.randint(max(1, (n + 2) // 3), 8)
         f = random_formula(n, m, Dialect.THREE_SAT, rng)
         assert build_mincol(f).graph.n == (4 * n + 1) * (2 * n + m)
+
+
+def test_reductions_hold_one_int_object_per_vertex_id():
+    """Every neighbor-set entry naming a vertex is the same int object, so a
+    graph keeps one int per vertex and not one per edge end.  Both graphs
+    pass 256 vertices, past the ints the interpreter caches."""
+    rng = random.Random(21)
+    graphs = [build_mincol(random_formula(5, 12, Dialect.THREE_SAT, rng)).graph,
+              build_3col(random_formula(10, 30, Dialect.NAE_THREE_SAT, rng)).graph]
+    for g in graphs:
+        assert g.n > 256
+        entries = [u for nbrs in g.black_adj for u in nbrs]
+        assert len({id(u) for u in entries}) == len(set(entries)) == g.n
 
 
 def test_build_refuses_more_vertices_than_the_cap():

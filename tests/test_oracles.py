@@ -396,14 +396,14 @@ COLORING_PINS = {
     "threecol-demo-3": (True, "32323232332323232322323232323232323232232323232323"
                               "23232323323232321231321232133121321321231", 91, 3, 91, (3, 4)),
     "gnp-24-0.5-24": (True, "615462354126123534315413", 47, 6, 47, (6, 7)),
-    "gnp-28-0.6-22": (False, None, 188, 9, 188, (8, 9)),
-    "gnp-30-0.4-25": (True, "641235213254525144163131664535", 178, 6, 178, (6, 7)),
+    "gnp-28-0.6-22": (False, None, 206, 9, 206, (8, 9)),
+    "gnp-30-0.4-25": (True, "641235213254525144163131664535", 186, 6, 186, (6, 7)),
     "gnp-30-0.7-28": (False, None, 13, 10, 30, (10, 11)),
-    # these pin ground truth and reach the symmetry cut's blame, but keep
-    # their verdicts and budgets when that blame is left out
+    # triangle-free, so the clique precolors 2 of the k >= 4 colors and the
+    # symmetry cut (a new color is only max used + 1) binds at the first levels
     "groetzsch-4": (True, "21231232341", 11, 4, 26, (3, 4)),
-    "M5-4": (False, None, 735, 5, 735, (4, 5)),
-    "M5-5": (True, "32342111112323423434521", 23, 5, 735, (4, 5)),
+    "M5-4": (False, None, 883, 5, 883, (4, 5)),
+    "M5-5": (True, "32342111112323423434521", 23, 5, 883, (4, 5)),
     "precolor-dead-end-9": (False, None, 3, 4, 3, (3, 4)),
 }
 
