@@ -42,33 +42,57 @@ def _header(lines: list[str], tag: str, count: int) -> list[int]:
 # --- trigraph text format -------------------------------------------------
 
 def write_trigraph(g: Trigraph) -> str:
-    lines = [f"tgf {g.n} {edge_count(g.black_adj)} {edge_count(g.red_adj)}"]
+    names = [str(v + 1) for v in range(g.n)]  # each id string is made once
+    # An edge line is two pieces, its lower end's head and the higher
+    # end's name; one join at the end makes the text, so no line is a string.
+    pieces = [f"tgf {g.n} {edge_count(g.black_adj)} {edge_count(g.red_adj)}"]
     for tag, adj in (("b", g.black_adj), ("r", g.red_adj)):
-        lines += [f"{tag} {u + 1} {v + 1}" for u, nbrs in enumerate(adj) for v in sorted(nbrs) if v > u]
-    return "\n".join(lines) + "\n"
+        for u, nbrs in enumerate(adj):
+            if nbrs:
+                head = f"\n{tag} {names[u]} "
+                for v in sorted(nbrs):
+                    if v > u:
+                        pieces.append(head)
+                        pieces.append(names[v])
+    return "".join(pieces) + "\n"
 
 
 def read_trigraph(text: str) -> Trigraph:
     """Each pair may appear on one edge line only, in either orientation."""
     lines = _data_lines(text)
     n, n_black, n_red = _header(lines, "tgf", 3)
-    black, red = [[] for _ in range(n)], [[] for _ in range(n)]  # neighbor lists
+    black, red = [None] * n, [None] * n  # a vertex's neighbor lists, made when it is named
     sides = {"b": black, "r": red}
+    vertex: dict[str, int] = {}  # edge-line token -> its 0-based id, one int object each
     for line in lines[1:]:  # the hot loop on large graphs: no helper calls
         try:
-            tag, u, v = line.split()
+            tag, a, b = line.split()
             adj = sides[tag]
-            u, v = int(u) - 1, int(v) - 1
         except (ValueError, KeyError):
             raise ParseError(f"malformed edge line: {line!r}") from None
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge line {line!r} does not join two vertices of 1..{n}")
+        u, v = vertex.get(a), vertex.get(b)
+        if u is None or v is None or u == v:  # a token not seen before, or a loop
+            try:
+                if u is None:
+                    u = int(a) - 1
+                if v is None:
+                    v = int(b) - 1
+            except ValueError:
+                raise ParseError(f"malformed edge line: {line!r}") from None
+            if u == v or not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"edge line {line!r} does not join two vertices of 1..{n}")
+            vertex[a], vertex[b] = u, v
+            if black[u] is None:
+                black[u], red[u] = [], []
+            if black[v] is None:
+                black[v], red[v] = [], []
         adj[u].append(v)
         adj[v].append(u)
-    if edge_count(black) != n_black or edge_count(red) != n_red:
+    found_black, found_red = edge_count(filter(None, black)), edge_count(filter(None, red))
+    if found_black != n_black or found_red != n_red:
         raise ParseError(
             f"header declares {n_black} black / {n_red} red edges, "
-            f"found {edge_count(black)} / {edge_count(red)}")
+            f"found {found_black} / {found_red}")
     try:
         g = Trigraph._from_lists(n, black, red)
     except OverlapError:  # the lists are frozen sets by now

@@ -10,7 +10,7 @@ operations here return fresh objects.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import OverlapError, TwinwidthError
 
@@ -46,7 +46,7 @@ def _edges(adj: Sequence[frozenset[int]]) -> frozenset[Edge]:
     return frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
 
 
-def edge_count(adj: Sequence[frozenset[int]]) -> int:
+def edge_count(adj: Iterable[Collection[int]]) -> int:
     """Number of edges of a symmetric neighbor-set table, from its degree sum."""
     return sum(map(len, adj)) // 2
 

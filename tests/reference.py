@@ -3,12 +3,13 @@
 Everything here is deliberately written from the definitions, in a
 different style from the package (flag scans instead of counters, raw
 enumeration instead of branch and bound), so agreement is meaningful.
-The exceptions are `read_trigraph_two_pass`, `read_sequence_by_helpers`
-and `threecol_assignment_by_sets`, the package's earlier trigraph and
-sequence readers and 3col backward map, kept so that the current code
-can be compared with them message for message.  The
-first three functions and the last three are not references but small
-helpers that only tests call.
+The exceptions are `read_trigraph_two_pass`, `write_trigraph_by_lines`,
+`read_sequence_by_helpers` and `threecol_assignment_by_sets`, the
+package's earlier trigraph reader and writer, sequence reader and 3col
+backward map, kept so that the current code can be compared with them
+message for message and byte for byte.  The first three functions and
+the last three are not references but small helpers that only tests
+call.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from twinwidth import Partition, PartitionSequence, Trigraph, is_proper, quotien
 from twinwidth.cnf import Dialect, literal_value, nae_satisfies
 from twinwidth.errors import OverlapError, ParseError, TwinwidthError
 from twinwidth.formats import _header
+from twinwidth.trigraph import edge_count
 
 
 def max_red_degree(g):
@@ -274,6 +276,14 @@ def read_trigraph_two_pass(text):
         u, v = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
         raise ParseError(f"pair {u + 1} {v + 1} is on two edge lines")
     return g
+
+
+def write_trigraph_by_lines(g):
+    """The trigraph writer as first written: one f-string per edge line."""
+    lines = [f"tgf {g.n} {edge_count(g.black_adj)} {edge_count(g.red_adj)}"]
+    for tag, adj in (("b", g.black_adj), ("r", g.red_adj)):
+        lines += [f"{tag} {u + 1} {v + 1}" for u, nbrs in enumerate(adj) for v in sorted(nbrs) if v > u]
+    return "\n".join(lines) + "\n"
 
 
 def read_sequence_by_helpers(text):

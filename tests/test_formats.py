@@ -1,9 +1,11 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from reference import (mutate_sequence_text, mutate_trigraph_text, read_outcome,
-                       read_sequence_by_helpers, read_trigraph_two_pass)
+                       read_sequence_by_helpers, read_trigraph_two_pass,
+                       write_trigraph_by_lines)
 
 from corpus import random_formula
 from twinwidth import Coloring, Dialect, Trigraph, sequence_from_vertex_merges
@@ -25,6 +27,34 @@ def test_trigraph_round_trip_bit_exact():
         h = read_trigraph(text)
         assert h.n == g.n and h.black == g.black and h.red == g.red
         assert write_trigraph(h) == text
+
+
+def test_trigraph_writer_matches_line_by_line_reference():
+    rng = random.Random(22)
+    for _ in range(20):
+        n = rng.randint(257, 700)
+        named = rng.sample(range(n), n - rng.randint(1, 40))  # the rest stay isolated
+        pairs = {tuple(sorted(rng.sample(named, 2))) for _ in range(rng.randint(n, 4 * n))}
+        pairs = sorted(pairs)
+        rng.shuffle(pairs)
+        cut = rng.randint(1, len(pairs) - 1)
+        g = Trigraph(n, pairs[:cut], pairs[cut:])
+        assert g.red and any(not (b or r) for b, r in zip(g.black_adj, g.red_adj))
+        assert write_trigraph(g) == write_trigraph_by_lines(g)
+
+
+def test_trigraph_header_alone_allocates_little():
+    """Neighbor lists are made for the vertices that edge lines name, so a
+    16-byte header declaring 2^20 vertices costs the two tables of n
+    entries and the graph's own tuples, not two lists per vertex."""
+    tracemalloc.start()
+    try:
+        g = read_trigraph("tgf 1048576 0 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 1048576 and not g.black and not g.red
+    assert peak < 40 * 2**20, peak
 
 
 def test_trigraph_plain_graph_has_no_red_lines():
@@ -77,6 +107,11 @@ TRIGRAPH_TEXTS = [
     ("tgf -1 1 0\nb 1 2\n", "ParseError: vertex count must be non-negative, got -1"),
     ("tgf 0 0 0\n", None),
     ("tgf 3 1 0\nb +3 01\n", None),
+    # a repeat mention of a token reuses its id; a new spelling is converted and checked
+    ("tgf 3 1 0\nb 1 2\nb 2 +2\n", "ParseError: edge line 'b 2 +2' does not join"),
+    ("tgf 4 3 0\nb 1 2\nb 3 +2\nb 2 +2\n", "ParseError: edge line 'b 2 +2' does not join"),
+    ("tgf 3 2 0\nb 01 2\nb 1 3\n", None),
+    ("tgf 3 1 0\nb 1 2\nb 1 x\n", "ParseError: malformed edge line: 'b 1 x'"),
     ("tgf\t3\t1\t1\nb\t1\t3\nr 2\t3 # note\n", None),
 ]
 

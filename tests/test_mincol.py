@@ -11,6 +11,7 @@ from twinwidth import (CnfFormula, Coloring, Dialect, build_3col, build_mincol,
                        sequence_from_vertex_merges, solve_sat,
                        verify_d_sequence)
 from twinwidth.errors import TwinwidthError
+from twinwidth.formats import read_trigraph, write_trigraph
 from twinwidth.trigraph import MAX_VERTICES
 
 
@@ -104,11 +105,14 @@ def test_size_law_random():
 
 def test_reductions_hold_one_int_object_per_vertex_id():
     """Every neighbor-set entry naming a vertex is the same int object, so a
-    graph keeps one int per vertex and not one per edge end.  Both graphs
-    pass 256 vertices, past the ints the interpreter caches."""
+    graph keeps one int per vertex and not one per edge end.  This holds
+    for both reductions' graphs and for the graphs read back from their
+    written text.  All pass 256 vertices, past the ints the interpreter
+    caches."""
     rng = random.Random(21)
     graphs = [build_mincol(random_formula(5, 12, Dialect.THREE_SAT, rng)).graph,
               build_3col(random_formula(10, 30, Dialect.NAE_THREE_SAT, rng)).graph]
+    graphs += [read_trigraph(write_trigraph(g)) for g in graphs]
     for g in graphs:
         assert g.n > 256
         entries = [u for nbrs in g.black_adj for u in nbrs]
