@@ -64,7 +64,10 @@ def read_trigraph(text: str) -> Trigraph:
     black, red = [None] * n, [None] * n  # a vertex's neighbor lists, made when it is named
     sides = {"b": black, "r": red}
     vertex: dict[str, int] = {}  # edge-line token -> its 0-based id, one int object each
-    for line in lines[1:]:  # the hot loop on large graphs: no helper calls
+    edge_lines = iter(lines)  # lets the lines go when it runs out, before the sets are made
+    next(edge_lines)
+    del lines
+    for line in edge_lines:  # the hot loop on large graphs: no helper calls
         try:
             tag, a, b = line.split()
             adj = sides[tag]
@@ -94,12 +97,12 @@ def read_trigraph(text: str) -> Trigraph:
             f"header declares {n_black} black / {n_red} red edges, "
             f"found {found_black} / {found_red}")
     try:
-        g = Trigraph._from_lists(n, black, red)
+        g = Trigraph(n, black, red)
     except OverlapError:  # the lists are frozen sets by now
         u, v = min((u, v) for u, nbrs in enumerate(black) for v in nbrs & red[u] if u < v)
         raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None
     if edge_count(g.black_adj) + edge_count(g.red_adj) < n_black + n_red:
-        pairs = sorted(sorted(map(int, line.split()[1:])) for line in lines[1:])
+        pairs = sorted(sorted(map(int, line.split()[1:])) for line in _data_lines(text)[1:])
         u, v = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
         raise ParseError(f"pair {u} {v} is on two edge lines")
     return g
@@ -118,7 +121,10 @@ def read_sequence(text: str) -> PartitionSequence:
     lines = _data_lines(text)
     n, n_steps = _header(lines, "seq", 2)
     merges = []
-    for line in lines[1:]:  # the hot loop on long scripts: no helper calls
+    merge_lines = iter(lines)
+    next(merge_lines)
+    del lines
+    for line in merge_lines:  # the hot loop on long scripts: no helper calls
         try:
             tag, a, b = line.split()
             if tag == "m":

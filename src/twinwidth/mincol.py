@@ -21,7 +21,7 @@ from .cnf import Assignment, CnfFormula, Dialect, literal_value, satisfies
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
-from .trigraph import Trigraph, check_vertex_count
+from .trigraph import Trigraph, check_size
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,18 @@ class MinColInstance:
         return 4 * self.n * self.p + (i - 1)
 
 
+def mincol_size(n: int, m: int) -> tuple[int, int]:
+    """Vertex and edge counts of the block graph for n variables and m clauses.
+
+    Each side is a (2n-1)-th path power on 2np vertices; a variable apex
+    has 4n-3 neighbors and a clause apex 2n.
+    """
+    width, p = 2 * n, 2 * n + m
+    r = width - 1
+    path_powers = 2 * (r * width * p - r * (r + 1) // 2)
+    return (2 * width + 1) * p, path_powers + width * (2 * width - 3) + width * m
+
+
 def build_mincol(formula: CnfFormula) -> MinColInstance:
     """Build the block graph for a 3-SAT formula with n >= 2 variables."""
     if formula.dialect is not Dialect.THREE_SAT:
@@ -54,7 +66,7 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
     if n < 2:
         raise TwinwidthError("need at least two variables")
     p = 2 * n + m
-    check_vertex_count((4 * n + 1) * p)  # two sides of 2n vertices per block, and p apexes
+    check_size(*mincol_size(n, m))
     width = 2 * n
     side = width * p
     layout = MinColInstance(formula, n, p, None)
@@ -97,7 +109,7 @@ def build_mincol(formula: CnfFormula) -> MinColInstance:
             labels[b(i, j)] = f"B {i} {j}"
         labels[v(i)] = f"V {i}"
 
-    return replace(layout, graph=Trigraph._from_lists(len(adj), adj, [()] * len(adj), labels))
+    return replace(layout, graph=Trigraph(len(adj), adj, [()] * len(adj), labels))
 
 
 def build_mincol_3sequence(inst: MinColInstance) -> PartitionSequence:

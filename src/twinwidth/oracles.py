@@ -85,8 +85,7 @@ def greedy_clique(g: Trigraph, order: list[int]) -> list[int]:
     return best
 
 
-def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
-                   order: list[int] | None = None, clique: list[int] | None = None
+def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
                    ) -> tuple[bool, Coloring | None]:
     """Exact k-colorability with a witness coloring on success.
 
@@ -104,17 +103,14 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None, *,
     members that hold it or could still take it.  A count of 0 is a dead
     end; at 1 its last supporter is the next vertex, that color first.
     Budgets count precolored vertices and colors tried.
-
-    `order` and `clique` are `_base_order(g)` and `greedy_clique(g, order)`,
-    when the caller has computed them already.
     """
     if any(g.red_adj):
         raise TwinwidthError("colorability is defined for plain graphs")
     n = g.n
     if n == 0:
         return True, Coloring((), max(k, 0))
-    order = _base_order(g) if order is None else order
-    clique = greedy_clique(g, order) if clique is None else clique
+    order = _base_order(g)
+    clique = greedy_clique(g, order)
     if len(clique) > k:  # also every k <= 0, since n > 0
         return False, None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
@@ -255,7 +251,7 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
     clique = greedy_clique(g, order)
     for k in range(len(clique), greedy.k):
         try:
-            ok, witness = is_k_colorable(g, k, budget, order=order, clique=clique)
+            ok, witness = is_k_colorable(g, k, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(str(exc), lower=k, upper=greedy.k) from None
         if ok:

@@ -21,7 +21,7 @@ from .cnf import Assignment, CnfFormula, Dialect, nae_satisfies
 from .contraction import PartitionSequence, sequence_from_vertex_merges
 from .errors import TwinwidthError
 from .oracles import Coloring, is_proper
-from .trigraph import Trigraph, check_vertex_count
+from .trigraph import Trigraph, check_size, edge_count
 
 _SLOTS = ("u", "v", "w")
 # lift_to_k adds k-3 pairwise-adjacent vertices, each joined to the whole
@@ -90,7 +90,7 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
         raise TwinwidthError("need at least one variable and one clause")
     subdivisions = frozenset(subdivision_positions(formula))
     size = n * m + len(subdivisions) + 3 * m + 1  # paths, subdivisions, triangles, hub
-    check_vertex_count(size)
+    check_size(size)  # fewer than 2 edges a vertex, so the vertex cap bounds them too
     adj: list = [[] for _ in range(size)]  # neighbor lists
     # each id is drawn once, so every list that names a vertex shares one int
     ids = iter(range(size))
@@ -125,7 +125,7 @@ def build_3col(formula: CnfFormula) -> ThreeColInstance:
     for vid in on_paths:
         adj[vid].append(hub)
 
-    graph = Trigraph._from_lists(len(adj), adj, [()] * len(adj), labels)
+    graph = Trigraph(len(adj), adj, [()] * len(adj), labels)
     return ThreeColInstance(formula, n, m, graph, path_at, subdivisions)
 
 
@@ -231,13 +231,13 @@ def lift_to_k(inst: ThreeColInstance, k: int) -> tuple[Trigraph, PartitionSequen
     base = inst.graph
     extra = k - 3
     total = base.n + extra
-    check_vertex_count(total)
+    check_size(total, edge_count(base.black_adj) + extra * base.n + extra * (extra - 1) // 2)
     universal = range(base.n, total)  # each adjacent to every other vertex
     adj = [[*nbrs, *universal] for nbrs in base.black_adj]
     adj += [[*range(u), *range(u + 1, total)] for u in universal]
     labels = dict(base.labels)
     labels.update((u, f"U {u - base.n + 1}") for u in universal)
-    graph = Trigraph._from_lists(total, adj, [()] * total, labels)
+    graph = Trigraph(total, adj, [()] * total, labels)
 
     # Canonical as it stands: the base steps are canonical and end in part 0,
     # and base.n is the smallest member of the universal part.

@@ -19,27 +19,16 @@ Edge = tuple[int, int]
 # The readers refuse larger headers and the reductions larger instances,
 # each before allocating anything.
 MAX_VERTICES = 2**20
+MAX_EDGES = 2**22
 
 _NO_NEIGHBORS: frozenset[int] = frozenset()
 
 
-def check_vertex_count(n: int) -> None:
-    """Refuse a reduction instance above MAX_VERTICES before it is built."""
-    if n > MAX_VERTICES:
-        raise TwinwidthError(
-            f"the instance would have {n} vertices, above the cap of {MAX_VERTICES}")
-
-
-def _neighbor_lists(n: int, pairs: Iterable[Edge], kind: str) -> list:
-    adj: list = [[] for _ in range(n)]
-    for u, v in pairs:
-        if u == v:
-            raise TwinwidthError(f"{kind} edge ({u},{v}) is a self-loop")
-        if not (0 <= u < n and 0 <= v < n):
-            raise TwinwidthError(f"{kind} edge ({u},{v}) out of range for n={n}")
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+def check_size(vertices: int, edges: int = 0) -> None:
+    """Refuse a reduction instance above MAX_VERTICES or MAX_EDGES before it is built."""
+    for count, cap, what in ((vertices, MAX_VERTICES, "vertices"), (edges, MAX_EDGES, "edges")):
+        if count > cap:
+            raise TwinwidthError(f"the instance would have {count} {what}, above the cap of {cap}")
 
 
 def _edges(adj: Sequence[frozenset[int]]) -> frozenset[Edge]:
@@ -54,25 +43,14 @@ def edge_count(adj: Iterable[Collection[int]]) -> int:
 class Trigraph:
     """Vertex set 0..n-1 with disjoint black and red neighbor sets `black_adj`, `red_adj`."""
 
-    def __init__(self, n: int, black: Iterable[Edge] = (), red: Iterable[Edge] = (),
-                 labels: Mapping[int, str] | None = None):
-        self._adopt(n, _neighbor_lists(n, black, "black"), _neighbor_lists(n, red, "red"), labels)
-
-    @classmethod
-    def _from_lists(cls, n: int, black: list, red: list, labels=None) -> Trigraph:
-        """Trusted: n symmetric, loop-free, in-range neighbor lists a side, frozen in place.
-
-        Repeated entries collapse.
-        """
-        g = cls.__new__(cls)
-        g._adopt(n, black, red, labels)
-        return g
-
-    def _adopt(self, n: int, black: list, red: list, labels) -> None:
+    def __init__(self, n: int, black: list, red: list, labels: Mapping[int, str] | None = None):
+        """n symmetric, loop-free, in-range neighbor lists a side; the caller checks them."""
         if n < 0:
             raise TwinwidthError(f"vertex count must be non-negative, got {n}")
-        # In place, also when the sides overlap, so one copy is alive;
-        # every empty side shares one set.
+        if len(black) != n or len(red) != n:
+            raise TwinwidthError(f"need {n} neighbor lists a side, got {len(black)} and {len(red)}")
+        # Frozen in place, also when the sides overlap, so one copy is alive;
+        # repeated entries collapse, and every empty side shares one set.
         for adj in (black, red):
             for v, nbrs in enumerate(adj):
                 adj[v] = frozenset(nbrs) if nbrs else _NO_NEIGHBORS
@@ -123,16 +101,14 @@ def quotient(g: Trigraph, p: Partition) -> Trigraph:
     """
     if p.n != g.n:
         raise TwinwidthError(f"partition is over {p.n} vertices, trigraph has {g.n}")
-    black_pairs, red_pairs = [], []
+    black, red = [[] for _ in p.parts], [[] for _ in p.parts]
     for (i, part_i), (j, part_j) in combinations(enumerate(p.parts), 2):
         blacks = reds = 0
         for u in part_i:
             blacks += len(g.black_adj[u] & part_j)
             reds += len(g.red_adj[u] & part_j)
-        total = len(part_i) * len(part_j)
-        if reds > 0 or 0 < blacks < total:
-            red_pairs.append((i, j))
-        elif blacks == total:
-            black_pairs.append((i, j))
-    return Trigraph(len(p.parts), black_pairs, red_pairs)
-
+        if reds or blacks:
+            side = red if reds or blacks < len(part_i) * len(part_j) else black
+            side[i].append(j)
+            side[j].append(i)
+    return Trigraph(len(p.parts), black, red)

@@ -7,7 +7,7 @@ The exceptions are `read_trigraph_two_pass`, `write_trigraph_by_lines`,
 `read_sequence_by_helpers` and `threecol_assignment_by_sets`, the
 package's earlier trigraph reader and writer, sequence reader and 3col
 backward map, kept so that the current code can be compared with them
-message for message and byte for byte.  The first three functions and
+message for message and byte for byte.  The first four functions and
 the last three are not references but small helpers that only tests
 call.
 """
@@ -21,6 +21,19 @@ from twinwidth.formats import _header
 from twinwidth.trigraph import edge_count
 
 
+def trigraph(n, black=(), red=(), labels=None):
+    """A Trigraph from black and red edge pairs, each asserted in range and not a loop."""
+    sides = []
+    for pairs in (black, red):
+        adj = [[] for _ in range(n)]
+        for u, v in pairs:
+            assert u != v and 0 <= u < n and 0 <= v < n, (u, v, n)
+            adj[u].append(v)
+            adj[v].append(u)
+        sides.append(adj)
+    return Trigraph(n, *sides, labels)
+
+
 def max_red_degree(g):
     """The largest red degree of a trigraph, read from its red neighbor sets."""
     return max(map(len, g.red_adj), default=0)
@@ -28,7 +41,7 @@ def max_red_degree(g):
 
 def redify(g):
     """Reclassify every black edge as red (cannot decrease twin-width)."""
-    return Trigraph(g.n, (), g.black | g.red, g.labels)
+    return trigraph(g.n, (), g.black | g.red, g.labels)
 
 
 def pair_colors(state):
@@ -206,7 +219,7 @@ def all_graphs(n):
     """Every labeled plain graph on n vertices."""
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        yield Trigraph(n, [e for t, e in enumerate(pairs) if bits >> t & 1])
+        yield trigraph(n, [e for t, e in enumerate(pairs) if bits >> t & 1])
 
 
 def all_partitions(n, max_parts=None):
@@ -230,7 +243,7 @@ def all_partitions(n, max_parts=None):
 def random_cograph(n, rng):
     """A cograph built from a random cotree over n leaves."""
     if n == 1:
-        return Trigraph(1)
+        return trigraph(1)
     split = rng.randint(1, n - 1)
     left = random_cograph(split, rng)
     right = random_cograph(n - split, rng)
@@ -238,14 +251,14 @@ def random_cograph(n, rng):
     edges.extend((u + left.n, v + left.n) for u, v in right.black)
     if rng.random() < 0.5:  # join
         edges.extend((u, v + left.n) for u in range(left.n) for v in range(right.n))
-    return Trigraph(n, edges)
+    return trigraph(n, edges)
 
 
 def read_trigraph_two_pass(text):
-    """The trigraph reader as first written: a list of edge tuples, then Trigraph(...).
+    """The trigraph reader as first written: a list of edge tuples, then a trigraph of them.
 
-    Its loop checks each edge line's ids, and Trigraph checks every pair
-    again while it builds the neighbor sets; the overlap and repeat
+    Its loop checks each edge line's ids, and `trigraph` checks every pair
+    again while it builds the neighbor lists; the overlap and repeat
     messages come from sorting the normalized pairs.
     """
     lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if line]
@@ -267,7 +280,7 @@ def read_trigraph_two_pass(text):
             f"header declares {n_black} black / {n_red} red edges, "
             f"found {len(black)} / {len(red)}")
     try:
-        g = Trigraph(n, black, red)
+        g = trigraph(n, black, red)
     except OverlapError:
         u, v = min({(min(e), max(e)) for e in black} & {(min(e), max(e)) for e in red})
         raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None

@@ -17,8 +17,8 @@ import pytest
 from corpus import (exhaustive_threesat_corpus, random_nae_corpus,
                     random_formula, random_threesat_corpus,
                     structured_nae_corpus)
-from reference import pair_colors, random_cograph, redify
-from twinwidth import (ContractionState, Dialect, Partition, Trigraph,
+from reference import pair_colors, random_cograph, redify, trigraph
+from twinwidth import (ContractionState, Dialect, Partition,
                        build_3col, build_3col_4sequence, build_mincol,
                        build_mincol_3sequence, chromatic_number,
                        exact_twinwidth, is_k_colorable, is_proper, lift_to_k,
@@ -28,6 +28,8 @@ from twinwidth import (ContractionState, Dialect, Partition, Trigraph,
                        solve_sat, threecol_coloring_from_assignment,
                        verify_d_sequence)
 from twinwidth import oracles
+from twinwidth.mincol import mincol_size
+from twinwidth.trigraph import edge_count
 from conftest import NAE_DEMO_SUBDIVISIONS
 
 COLOR_BUDGET = 50_000_000
@@ -106,7 +108,7 @@ def test_acceptance_01_quotient_oracle_equivalence():
         pairs = list(itertools.combinations(range(5), 2))
         checked = 0
         for bits in range(1 << 10):
-            g = Trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
+            g = trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
             for s in range(50):
                 rng = random.Random(bits * 997 + s)
                 state = ContractionState(g)
@@ -136,6 +138,14 @@ def test_acceptance_02_mincol_size_law(mincol_200):
         for f, inst in mincol_200:
             assert inst.graph.n == (4 * f.n_vars + 1) * (2 * f.n_vars + f.n_clauses)
         info["detail"] = f"{len(mincol_200)} random formulas, "
+
+
+def test_mincol_size_counts_every_built_graph(mincol_200, sat_corpus_verdicts):
+    """The closed form that the edge cap reads, against the graphs as built;
+    the exhaustive corpus repeats literals within a clause."""
+    for f, inst, *_ in mincol_200 + sat_corpus_verdicts:
+        assert mincol_size(f.n_vars, f.n_clauses) == (inst.graph.n,
+                                                      edge_count(inst.graph.black_adj))
 
 
 def test_acceptance_03_mincol_certificate(mincol_200, mincol_demo,
@@ -285,21 +295,21 @@ def test_acceptance_10_universal_lift(nae_corpus):
 def test_acceptance_11_exact_twinwidth_sanity():
     with criterion(11, "exact twin-width ground truth") as info:
         rng = random.Random(20_240_505)
-        k4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        k22 = Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        cographs = [k4, k22, Trigraph(6), Trigraph(1)]
+        k4 = trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+        k22 = trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+        cographs = [k4, k22, trigraph(6), trigraph(1)]
         cographs += [random_cograph(rng.randint(2, 8), rng) for _ in range(24)]
         for g in cographs:
             width, seq = exact_twinwidth(g, budget=TWW_BUDGET)
             assert width == 0
             assert verify_d_sequence(g, seq, width)[0]
-        p4 = Trigraph(4, [(0, 1), (1, 2), (2, 3)])
+        p4 = trigraph(4, [(0, 1), (1, 2), (2, 3)])
         width, seq = exact_twinwidth(p4, budget=TWW_BUDGET)
         assert width == 1 and verify_d_sequence(p4, seq, 1)[0]
 
         pairs = list(itertools.combinations(range(5), 2))
         for bits in range(1 << 10):
-            g = Trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
+            g = trigraph(5, [e for t, e in enumerate(pairs) if bits >> t & 1])
             wg, seq_g = exact_twinwidth(g, budget=TWW_BUDGET)
             wr, seq_r = exact_twinwidth(redify(g), budget=TWW_BUDGET)
             assert wr >= wg

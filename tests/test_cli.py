@@ -2,6 +2,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import twinwidth.cli
 import twinwidth.formats
 import twinwidth.oracles
-from twinwidth import Coloring
+from twinwidth import Coloring, Trigraph
 from twinwidth.cli import main
 from twinwidth.errors import TwinwidthError
 from twinwidth.formats import read_sequence, read_trigraph
@@ -381,6 +383,53 @@ def test_usage_errors(tmp_path, capsys):
     no_vars = tmp_path / "no_vars.cnf"
     no_vars.write_text("p cnf -1 0\n")
     one_error(["sat", str(no_vars)])
+
+
+def test_reduce_refuses_more_edges_than_the_cap(tmp_path, capsys):
+    """A 4 KB CNF with n = 80, m = 320 passes the vertex cap (154 080) but asks
+    for 24 498 880 edges; it is refused before the block graph is allocated."""
+    big = tmp_path / "big.cnf"
+    big.write_text("p cnf 80 320\n" + "".join(
+        f"{1 + j % 80} -{1 + (j + 1) % 80} {1 + (j + 2) % 80} 0\n" for j in range(320)))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code = main(["reduce", "mincol", str(big)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert time.perf_counter() - start < 5
+    assert peak < 4 * 2**20, peak
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the instance would have 24498880 edges, above the cap of 4194304\n"
+
+
+def test_every_graph_goes_through_the_constructor_once(tmp_path, sat_cnf, nae_cnf, monkeypatch,
+                                                       capsys):
+    """The reader and both reductions build each graph with Trigraph.__init__,
+    so no fast path bypasses it (or the benchmark's span around it)."""
+    built = []
+    init = Trigraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Trigraph, "__init__", counted)
+    graph, seq, p4 = tmp_path / "g.tgf", tmp_path / "g.seq", tmp_path / "p4.tgf"
+    p4.write_text(P4)
+    for argv, sizes in [
+            (["reduce", "mincol", str(sat_cnf), "--graph", str(graph), "--sequence", str(seq)],
+             [104]),
+            (["reduce", "3col", str(nae_cnf), "--k", "5"], [91, 93]),  # the base and its lift
+            (["verify-sequence", str(graph), str(seq), "--max-width", "3"], [104]),
+            (["chromatic", str(p4)], [4])]:
+        built.clear()
+        assert main(argv) == 0, argv
+        assert built == sizes, argv
+    capsys.readouterr()
 
 
 def test_budget_env_override(sat_cnf, capsys, monkeypatch):

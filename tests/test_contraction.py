@@ -4,8 +4,8 @@ import pytest
 
 from corpus import random_formula
 from reference import (all_graphs, max_red_degree, pair_colors,
-                       quotient_by_definition, redify)
-from twinwidth import (ContractionState, Dialect, PartitionSequence, Trigraph,
+                       quotient_by_definition, redify, trigraph)
+from twinwidth import (ContractionState, Dialect, PartitionSequence,
                        build_3col, build_3col_4sequence, replay,
                        sequence_from_vertex_merges, verify_d_sequence)
 from twinwidth import Partition, WidthProfile, quotient
@@ -33,24 +33,24 @@ def test_merge_script_rejects_same_part():
 def test_empty_script_is_partial():
     seq = sequence_from_vertex_merges(2, [])
     assert not seq.is_full
-    g = Trigraph(2, [], [(0, 1)])
+    g = trigraph(2, [], [(0, 1)])
     profile = replay(g, seq)
     assert profile.per_step_width == ()
     assert profile.overall_width == 1  # the base trigraph's own width counts
     empty = sequence_from_vertex_merges(0, [])  # no vertices: 0 steps are full
     assert empty.is_full
-    assert verify_d_sequence(Trigraph(0), empty, 0) == (True, WidthProfile(0, (), 0))
+    assert verify_d_sequence(trigraph(0), empty, 0) == (True, WidthProfile(0, (), 0))
 
 
 def test_replay_twins():
-    g = Trigraph(2, [(0, 1)])
+    g = trigraph(2, [(0, 1)])
     profile = replay(g, sequence_from_vertex_merges(2, [(0, 1)]))
     assert profile.per_step_width == (0,)
     assert profile.overall_width == 0
 
 
 def test_replay_p4_middle_merge():
-    g = Trigraph(4, [(0, 1), (1, 2), (2, 3)])
+    g = trigraph(4, [(0, 1), (1, 2), (2, 3)])
     profile = replay(g, sequence_from_vertex_merges(4, [(1, 2)]))
     assert profile.per_step_width == (2,)
     state = ContractionState(g)
@@ -59,7 +59,7 @@ def test_replay_p4_middle_merge():
 
 
 def test_replay_errors():
-    g = Trigraph(3, [(0, 1)])
+    g = trigraph(3, [(0, 1)])
     with pytest.raises(SequenceError):
         replay(g, sequence_from_vertex_merges(4, [(0, 1)]))
     with pytest.raises(SequenceError):
@@ -69,7 +69,7 @@ def test_replay_errors():
 
 
 def test_verify_requires_full_sequence():
-    g = Trigraph(3, [(0, 1)])
+    g = trigraph(3, [(0, 1)])
     with pytest.raises(SequenceError, match=r"need a full sequence \(2 steps\), got 1"):
         verify_d_sequence(g, sequence_from_vertex_merges(3, [(0, 1)]), 1)
     with pytest.raises(SequenceError, match="sequence is for n=2, trigraph has n=3"):
@@ -77,7 +77,7 @@ def test_verify_requires_full_sequence():
 
 
 def test_k4_is_a_zero_sequence_in_any_twin_order():
-    k4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    k4 = trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     rng = random.Random(5)
     for _ in range(10):
         reps = list(range(4))
@@ -91,7 +91,7 @@ def test_k4_is_a_zero_sequence_in_any_twin_order():
 
 
 def test_part_count_shrinks_by_one_per_step():
-    g = Trigraph(5, [(0, 1), (2, 3)])
+    g = trigraph(5, [(0, 1), (2, 3)])
     state = ContractionState(g)
     seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     assert len(seq.steps) == g.n - 1
@@ -118,7 +118,7 @@ def test_incremental_matches_definition_on_random_graphs():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         black = [e for e in pairs if rng.random() < 0.4]
         red = [e for e in pairs if e not in black and rng.random() < 0.25]
-        g = Trigraph(n, black, red)
+        g = trigraph(n, black, red)
         state = ContractionState(g)
         parts = {v: frozenset([v]) for v in range(n)}
         for a, b in _random_full_merges(n, rng):
@@ -147,7 +147,7 @@ def test_merged_width_matches_the_merged_copy():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         black = [e for e in pairs if rng.random() < 0.4]
         red = [e for e in pairs if e not in black and rng.random() < 0.2]
-        state = ContractionState(Trigraph(n, black, red))
+        state = ContractionState(trigraph(n, black, red))
         for a, b in _random_full_merges(n, rng):
             colors, count = pair_colors(state), state.red_count.copy()
             live = sorted(state.live)
@@ -169,7 +169,7 @@ def test_width_monotone_under_redify():
 
 
 def test_overall_width_includes_initial_trigraph():
-    g = Trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
+    g = trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
     seq = sequence_from_vertex_merges(4, [(1, 2), (1, 3), (0, 1)])
     profile = replay(g, seq)
     assert profile.initial_width == 3
@@ -191,7 +191,7 @@ def test_red_degree_histogram_matches_scan_and_quotient():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         black = [e for e in pairs if rng.random() < 0.3]
         red = [e for e in pairs if e not in black and rng.random() < 0.08]
-        g = Trigraph(n, black, red)
+        g = trigraph(n, black, red)
         state = ContractionState(g)
         parts = {v: {v} for v in range(n)}
         width = state.max_red_degree()
@@ -235,7 +235,7 @@ def test_replay_matches_scanned_profile_on_reductions(mincol_demo, mincol_demo_s
 
 def test_engine_leaves_the_graph_alone(mincol_demo, mincol_demo_sequence):
     """The engine copies the graph's neighbor sets and never writes to them."""
-    red_graph = Trigraph(5, [(0, 1), (1, 2), (3, 4)], [(0, 2), (2, 3), (1, 4)])
+    red_graph = trigraph(5, [(0, 1), (1, 2), (3, 4)], [(0, 2), (2, 3), (1, 4)])
     red_seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     for g, seq in ((red_graph, red_seq), (mincol_demo.graph, mincol_demo_sequence)):
         before = [set(s) for s in g.black_adj + g.red_adj]
@@ -251,7 +251,7 @@ def _random_red_trigraph(rng, n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     black = [e for e in pairs if rng.random() < 0.35]
     red = [e for e in pairs if e not in black and rng.random() < 0.2]
-    return Trigraph(n, black, red)
+    return trigraph(n, black, red)
 
 
 def test_merge_all_matches_stepwise_merges_at_every_prefix():

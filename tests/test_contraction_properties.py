@@ -10,8 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from reference import max_red_degree, pair_colors  # noqa: E402
-from twinwidth import ContractionState, Partition, Trigraph, quotient  # noqa: E402
+from reference import max_red_degree, pair_colors, trigraph  # noqa: E402
+from twinwidth import ContractionState, Partition, quotient  # noqa: E402
 
 
 @st.composite
@@ -31,7 +31,7 @@ def trigraph_and_merges(draw):
         a, b = draw(st.lists(st.sampled_from(reps), min_size=2, max_size=2, unique=True))
         merges.append((min(a, b), max(a, b)))
         reps.remove(max(a, b))
-    return Trigraph(n, black, red), merges
+    return trigraph(n, black, red), merges
 
 
 @settings(max_examples=200, deadline=None)

@@ -7,7 +7,8 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from reference import mutate_trigraph_text, read_outcome, read_trigraph_two_pass  # noqa: E402
+from reference import (mutate_trigraph_text, read_outcome, read_trigraph_two_pass,  # noqa: E402
+                       trigraph)
 from test_cli_properties import DEMOS, mutated  # noqa: E402
 
 from twinwidth import CnfFormula, Dialect, Trigraph  # noqa: E402
@@ -23,7 +24,7 @@ def trigraphs(draw):
     colors = draw(st.lists(st.sampled_from("-br"), min_size=len(pairs), max_size=len(pairs)))
     black = [e for e, c in zip(pairs, colors) if c == "b"]
     red = [e for e, c in zip(pairs, colors) if c == "r"]
-    return Trigraph(n, black, red)
+    return trigraph(n, black, red)
 
 
 @settings(max_examples=200, deadline=None)

@@ -9,9 +9,9 @@ import pytest
 from corpus import random_formula, random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, greedy_merge_width, random_cograph)
-from reference import backtrack_solve, greedy_clique_by_scan, redify
+from reference import backtrack_solve, greedy_clique_by_scan, redify, trigraph
 import twinwidth
-from twinwidth import (CnfFormula, Coloring, ContractionState, Dialect, Trigraph,
+from twinwidth import (CnfFormula, Coloring, ContractionState, Dialect,
                        chromatic_number, exact_twinwidth, is_k_colorable,
                        is_proper, nae_satisfies, satisfies,
                        solve_nae, solve_sat, verify_d_sequence)
@@ -19,10 +19,10 @@ from twinwidth import build_mincol
 from twinwidth.errors import BudgetExceeded, TwinwidthError
 from twinwidth.oracles import _base_order, greedy_clique
 
-K3 = Trigraph(3, [(0, 1), (1, 2), (0, 2)])
-C5 = Trigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-K4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-P4 = Trigraph(4, [(0, 1), (1, 2), (2, 3)])
+K3 = trigraph(3, [(0, 1), (1, 2), (0, 2)])
+C5 = trigraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+K4 = trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+P4 = trigraph(4, [(0, 1), (1, 2), (2, 3)])
 # its mincol graph (117 vertices, 6 colors) once took up to 2.49M search
 # expansions, depending only on how the vertices were numbered
 STRESS = CnfFormula(3, ((-3, -3, -2), (-2, -1, 3), (-1, 2, 2)), Dialect.THREE_SAT)
@@ -31,7 +31,7 @@ STRESS = CnfFormula(3, ((-3, -3, -2), (-2, -1, 3), (-1, 2, 2)), Dialect.THREE_SA
 def relabeled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return Trigraph(g.n, [(perm[u], perm[v]) for u, v in g.black])
+    return trigraph(g.n, [(perm[u], perm[v]) for u, v in g.black])
 
 
 def test_is_proper():
@@ -40,7 +40,7 @@ def test_is_proper():
     with pytest.raises(TwinwidthError, match="coloring has 2 entries, graph has 3 vertices"):
         is_proper(K3, Coloring((1, 2), 3))
     with pytest.raises(TwinwidthError, match="propriety is defined for plain graphs"):
-        is_proper(Trigraph(2, [], [(0, 1)]), Coloring((1, 2), 2))
+        is_proper(trigraph(2, [], [(0, 1)]), Coloring((1, 2), 2))
 
 
 def test_coloring_colors_lie_within_budget():
@@ -52,37 +52,37 @@ def test_coloring_colors_lie_within_budget():
 
 def test_chromatic_examples():
     assert chromatic_number(C5)[0] == 3
-    assert chromatic_number(Trigraph(5))[0] == 1
+    assert chromatic_number(trigraph(5))[0] == 1
     assert chromatic_number(K4)[0] == 4
-    assert chromatic_number(Trigraph(0))[0] == 0
+    assert chromatic_number(trigraph(0))[0] == 0
 
 
 def test_k_colorable_examples():
     ok, witness = is_k_colorable(K4, 3)
     assert not ok and witness is None
-    ok, witness = is_k_colorable(Trigraph(3, [(0, 1), (1, 2)]), 2)
+    ok, witness = is_k_colorable(trigraph(3, [(0, 1), (1, 2)]), 2)
     assert ok
     # middle vertex has the highest degree, so it is colored first
     assert witness.colors == (2, 1, 2)
-    assert is_proper(Trigraph(3, [(0, 1), (1, 2)]), witness)
+    assert is_proper(trigraph(3, [(0, 1), (1, 2)]), witness)
 
 
 def test_no_colors_and_no_vertices():
-    p3 = Trigraph(3, [(0, 1), (1, 2)])
+    p3 = trigraph(3, [(0, 1), (1, 2)])
     assert is_k_colorable(p3, 0) == (False, None)
     assert is_k_colorable(p3, -2) == (False, None)
     assert is_k_colorable(p3, 0, budget=0) == (False, None)
-    assert is_k_colorable(Trigraph(0), 0) == (True, Coloring((), 0))
-    assert is_k_colorable(Trigraph(0), -1) == (True, Coloring((), 0))
+    assert is_k_colorable(trigraph(0), 0) == (True, Coloring((), 0))
+    assert is_k_colorable(trigraph(0), -1) == (True, Coloring((), 0))
     with pytest.raises(TwinwidthError, match="colorability is defined for plain graphs"):
-        is_k_colorable(Trigraph(2, [], [(0, 1)]), 0)
+        is_k_colorable(trigraph(2, [], [(0, 1)]), 0)
     with pytest.raises(TwinwidthError, match="chromatic number is defined for plain graphs"):
-        chromatic_number(Trigraph(2, [], [(0, 1)]))
-    assert chromatic_number(Trigraph(1)) == (1, Coloring((1,), 1))
+        chromatic_number(trigraph(2, [], [(0, 1)]))
+    assert chromatic_number(trigraph(1)) == (1, Coloring((1,), 1))
 
 
 def test_k_colorable_is_deterministic():
-    g = Trigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    g = trigraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     runs = {is_k_colorable(g, 3)[1].colors for _ in range(3)}
     assert len(runs) == 1
 
@@ -97,7 +97,7 @@ def test_chromatic_cross_check_small():
     for n in (5, 6):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for _ in range(120):
-            g = Trigraph(n, [e for e in pairs if rng.random() < 0.45])
+            g = trigraph(n, [e for e in pairs if rng.random() < 0.45])
             chi, _ = chromatic_number(g)
             assert chi == brute_chromatic(g)
             ok, witness = is_k_colorable(g, chi)
@@ -106,9 +106,9 @@ def test_chromatic_cross_check_small():
 
 def test_chromatic_witness_uses_exactly_chi_colors():
     rng = random.Random(22)
-    graphs = list(all_graphs(4)) + [P4, C5, K4, Trigraph(0)]
+    graphs = list(all_graphs(4)) + [P4, C5, K4, trigraph(0)]
     pairs = [(u, v) for u in range(7) for v in range(u + 1, 7)]
-    graphs += [Trigraph(7, [e for e in pairs if rng.random() < 0.5]) for _ in range(40)]
+    graphs += [trigraph(7, [e for e in pairs if rng.random() < 0.5]) for _ in range(40)]
     for g in graphs:
         chi, witness = chromatic_number(g)
         assert is_proper(g, witness)
@@ -127,11 +127,11 @@ def test_colorability_budget():
 
 def test_greedy_clique_matches_full_scan():
     rng = random.Random(23)
-    graphs = [Trigraph(0), P4, C5, K4, build_mincol(STRESS).graph]
+    graphs = [trigraph(0), P4, C5, K4, build_mincol(STRESS).graph]
     for _ in range(200):
         n = rng.randint(1, 40)
         density = rng.choice((0.1, 0.3, 0.6, 0.9))
-        graphs.append(Trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+        graphs.append(trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                         if rng.random() < density]))
     for g in graphs:
         assert greedy_clique(g, _base_order(g)) == greedy_clique_by_scan(g)
@@ -163,7 +163,7 @@ def test_many_k_cliques_cost_no_more_than_one_try_per_vertex():
     # k-cliques; listing every one of them ran over budget=100_000 at k=14
     for k in (8, 14, 20):
         n = 2 * k
-        g = Trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+        g = trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                               if u // 2 != v // 2])
         ok, witness = is_k_colorable(g, k, budget=n)
         assert ok and is_proper(g, witness)
@@ -173,7 +173,7 @@ def test_many_k_cliques_cost_no_more_than_one_try_per_vertex():
 
 def test_exact_twinwidth_examples():
     assert exact_twinwidth(K4)[0] == 0
-    k22 = Trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    k22 = trigraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     assert exact_twinwidth(k22)[0] == 0
     width, seq = exact_twinwidth(P4)
     assert width == 1
@@ -191,7 +191,7 @@ def test_exact_twinwidth_cross_check():
     rng = random.Random(4)
     pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     for _ in range(60):
-        g = Trigraph(5, [e for e in pairs if rng.random() < 0.5])
+        g = trigraph(5, [e for e in pairs if rng.random() < 0.5])
         assert exact_twinwidth(g)[0] == brute_twinwidth(g)
 
 
@@ -202,7 +202,7 @@ def test_exact_twinwidth_on_trigraphs_with_red_edges():
 
 
 def test_exact_twinwidth_budget():
-    g = Trigraph(7, [(i, (i + 1) % 7) for i in range(7)])
+    g = trigraph(7, [(i, (i + 1) % 7) for i in range(7)])
     with pytest.raises(BudgetExceeded) as exc:
         exact_twinwidth(g, budget=1)
     # C7: the width-0 level fails in one expansion, so width 1 is the bound
@@ -216,21 +216,21 @@ def test_exact_twinwidth_budget():
 
 def _gnp(n, p, seed):
     rng = random.Random(seed)
-    return Trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    return trigraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
 
 
 def _pinned_twinwidth_graphs():
-    graphs = {f"path-{n}": Trigraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (5, 8, 11)}
-    graphs.update((f"cycle-{n}", Trigraph(n, [(i, (i + 1) % n) for i in range(n)]))
+    graphs = {f"path-{n}": trigraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (5, 8, 11)}
+    graphs.update((f"cycle-{n}", trigraph(n, [(i, (i + 1) % n) for i in range(n)]))
                   for n in (6, 9, 11))
     graphs.update((f"cograph-{seed}", random_cograph(n, random.Random(seed)))
                   for seed, n in ((1, 7), (2, 10)))
     graphs.update((f"gnp-{n}-{p}-{seed}", _gnp(n, p, seed)) for seed, (n, p) in enumerate(
         [(7, .5), (8, .3), (9, .5), (10, .3), (10, .5), (11, .3), (11, .5)]))
-    graphs["red"] = Trigraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 4)],
+    graphs["red"] = trigraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (0, 6), (1, 4)],
                                   [(0, 3), (2, 5), (1, 6)])
-    graphs["width1-7"] = Trigraph(7, [(0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (3, 4)])
-    graphs["width1-red-6"] = Trigraph(6, [(0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)],
+    graphs["width1-7"] = trigraph(7, [(0, 4), (0, 5), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (3, 4)])
+    graphs["width1-red-6"] = trigraph(6, [(0, 4), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (4, 5)],
                                       [(0, 5)])
     return graphs
 
@@ -348,25 +348,25 @@ def test_exact_twinwidth_skip_bound_is_sound():
 
 def _pinned_coloring_graphs(mincol_demo, threecol_demo):
     """name: (graph, k)."""
-    petersen = Trigraph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen = trigraph(10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     # Groetzsch: the Mycielskian of C5, triangle-free with chromatic number 4
-    groetzsch = Trigraph(11, [(i, (i + 1) % 5) for i in range(5)]
+    groetzsch = trigraph(11, [(i, (i + 1) % 5) for i in range(5)]
                               + [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
                               + [(10, 5 + i) for i in range(5)])
     # M5: the Mycielskian of Groetzsch, triangle-free with chromatic number 5
     edges = sorted(groetzsch.black)
-    m5 = Trigraph(23, edges + [(11 + u, v) for u, v in edges] + [(11 + v, u) for u, v in edges]
+    m5 = trigraph(23, edges + [(11 + u, v) for u, v in edges] + [(11 + v, u) for u, v in edges]
                   + [(22, 11 + i) for i in range(11)])
     # not 3-colorable (brute force agrees), and the precoloring of the
     # greedy clique {0, 1, 8} already leaves a vertex without a color
-    dead_end = Trigraph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (1, 4), (1, 5), (1, 6), (1, 8),
+    dead_end = trigraph(9, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 8), (1, 4), (1, 5), (1, 6), (1, 8),
                             (2, 3), (2, 5), (2, 7), (2, 8), (3, 4), (3, 6), (3, 7), (4, 5), (5, 7),
                             (5, 8), (6, 7), (7, 8)])
     # W6: a hub joined to every vertex of C5
-    wheel = Trigraph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
+    wheel = trigraph(6, [(i, (i + 1) % 5) for i in range(5)] + [(5, i) for i in range(5)])
     return {
-        "C5": (C5, 2), "C7": (Trigraph(7, [(i, (i + 1) % 7) for i in range(7)]), 3),
+        "C5": (C5, 2), "C7": (trigraph(7, [(i, (i + 1) % 7) for i in range(7)]), 3),
         "petersen": (petersen, 3), "groetzsch": (groetzsch, 3), "W6": (wheel, 4), "K4": (K4, 4),
         "mincol-demo-5": (mincol_demo.graph, 5), "mincol-demo-6": (mincol_demo.graph, 6),
         "threecol-demo-3": (threecol_demo.graph, 3),
@@ -443,8 +443,8 @@ def _depth():
 def test_searches_do_not_recurse():
     # the loops need 6 calls below this frame; a recursion of one call per
     # colored vertex, clique member or merge overflows on each input
-    cycle = Trigraph(301, [(i, (i + 1) % 301) for i in range(301)])
-    clique = Trigraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
+    cycle = trigraph(301, [(i, (i + 1) % 301) for i in range(301)])
+    clique = trigraph(40, [(i, j) for i in range(40) for j in range(i + 1, 40)])
     graph = _pinned_twinwidth_graphs()["gnp-11-0.5-6"]
     limit, trace = sys.getrecursionlimit(), sys.gettrace()
     sys.settrace(None)  # a trace function would run a call deeper, past the lowered limit

@@ -8,15 +8,15 @@ import pytest
 
 from conftest import NAE_DEMO_SUBDIVISIONS
 from corpus import nae_unsat_formula, random_formula
-from reference import read_outcome, threecol_assignment_by_sets
-from twinwidth import (CnfFormula, Coloring, Dialect, Trigraph, build_3col,
+from reference import read_outcome, threecol_assignment_by_sets, trigraph
+from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
                        build_3col_4sequence, is_k_colorable, is_proper,
                        lift_to_k, nae_satisfies, solve_nae,
                        subdivision_positions, threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment, verify_d_sequence)
 from twinwidth.errors import TwinwidthError
 from twinwidth.threecol import MAX_K
-from twinwidth.trigraph import MAX_VERTICES
+from twinwidth.trigraph import MAX_EDGES, MAX_VERTICES
 
 
 def test_subdivision_positions_demo(nae_demo):
@@ -146,7 +146,7 @@ def test_backward_map_agrees_with_the_two_set_rule():
         if not colorable:
             continue
         paths_end = inst.triangle(1, "u")  # path and subdivision ids lie below
-        pathless = replace(inst, graph=Trigraph(inst.graph.n, [
+        pathless = replace(inst, graph=trigraph(inst.graph.n, [
             (u, v) for u, v in inst.graph.black if max(u, v) >= paths_end]))
         for target in (inst, pathless):
             for _ in range(20):
@@ -321,6 +321,16 @@ def test_build_refuses_more_vertices_than_the_cap():
                                              f"vertices, above the cap of {MAX_VERTICES}$"):
         build_3col(f)
     # a base graph at the cap can take no universal vertex
-    at_cap = SimpleNamespace(graph=SimpleNamespace(n=MAX_VERTICES))
+    at_cap = SimpleNamespace(graph=SimpleNamespace(n=MAX_VERTICES, black_adj=()))
     with pytest.raises(TwinwidthError, match=f"would have {MAX_VERTICES + 1} vertices"):
         lift_to_k(at_cap, 4)
+
+
+def test_lift_refuses_more_edges_than_the_cap():
+    """61 universal vertices on 70 000 base vertices need 61 * 70 000 + 61 * 60 / 2
+    edges, over the edge cap, though the vertices are under theirs."""
+    base = SimpleNamespace(graph=SimpleNamespace(n=70_000, black_adj=[[1], [0]]))
+    assert 70_000 + 61 <= MAX_VERTICES
+    with pytest.raises(TwinwidthError, match=f"^the instance would have {1 + 4_271_830} edges, "
+                                             f"above the cap of {MAX_EDGES}$"):
+        lift_to_k(base, 64)

@@ -2,48 +2,57 @@ import random
 
 import pytest
 
-from reference import all_graphs, all_partitions, quotient_by_definition, redify
+from reference import all_graphs, all_partitions, quotient_by_definition, redify, trigraph
 from twinwidth import ContractionState, Partition, Trigraph, quotient
 from twinwidth.errors import OverlapError, TwinwidthError
 
 
 def test_make_trigraph_plain_path():
-    g = Trigraph(3, [(0, 1), (1, 2)])
+    g = trigraph(3, [(0, 1), (1, 2)])
     assert g.n == 3
     assert g.black == {(0, 1), (1, 2)}
     assert g.red == frozenset()
 
 
 def test_make_trigraph_rejects_overlap():
-    with pytest.raises(OverlapError):
-        Trigraph(2, [(0, 1)], [(0, 1)])
+    with pytest.raises(OverlapError, match=r"edges both black and red: \[\(0, 1\)\]"):
+        Trigraph(2, [[1], [0]], [[1], [0]])
 
 
 def test_make_trigraph_rejects_overlap_reversed_pair():
     with pytest.raises(OverlapError):
-        Trigraph(2, [(0, 1)], [(1, 0)])
+        trigraph(2, [(0, 1)], [(1, 0)])
 
 
-def test_make_trigraph_range_and_loops():
-    with pytest.raises(TwinwidthError, match=r"black edge \(0,2\) out of range for n=2"):
-        Trigraph(2, [(0, 2)])
-    with pytest.raises(TwinwidthError, match=r"red edge \(1,1\) is a self-loop"):
-        Trigraph(2, [], [(1, 1)])
+def test_make_trigraph_takes_n_lists_a_side():
     with pytest.raises(TwinwidthError, match="vertex count must be non-negative, got -1"):
-        Trigraph(-1)
+        Trigraph(-1, [], [])
+    # a leftover call with edge pairs fails loudly instead of building a wrong graph
+    with pytest.raises(TwinwidthError, match="need 3 neighbor lists a side, got 2 and 0"):
+        Trigraph(3, [(0, 1), (1, 2)], [])
+    with pytest.raises(TwinwidthError, match="need 2 neighbor lists a side, got 2 and 1"):
+        Trigraph(2, [[1], [0]], [[]])
+
+
+def test_make_trigraph_freezes_its_lists_in_place():
+    black, red = [[1, 1, 2], [0, 0], [0]], [None, [], ()]
+    g = Trigraph(3, black, red, {0: "Z"})
+    assert black == [frozenset({1, 2}), frozenset({0}), frozenset({0})]
+    assert g.black_adj == tuple(black) and g.red_adj == (frozenset(),) * 3
+    assert g.black == {(0, 1), (0, 2)} and not g.red and g.labels == {0: "Z"}
 
 
 def test_make_trigraph_single_vertex_and_duplicates():
-    g = Trigraph(1)
+    g = trigraph(1)
     assert g.n == 1 and not g.black and not g.red
-    g = Trigraph(3, [(0, 1), (1, 0), (0, 1)])
+    g = trigraph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.black == {(0, 1)}
 
 
 def test_red_degree_counts():
-    triangle = Trigraph(3, [(0, 1), (1, 2), (0, 2)])
+    triangle = trigraph(3, [(0, 1), (1, 2), (0, 2)])
     assert all(len(triangle.red_adj[v]) == 0 for v in range(3))
-    g = Trigraph(3, [], [(0, 1), (0, 2)])
+    g = trigraph(3, [], [(0, 1), (0, 2)])
     assert len(g.red_adj[0]) == 2
     assert len(g.red_adj[1]) == 1
 
@@ -55,19 +64,19 @@ def test_red_degree_sum_is_twice_red_edges():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         cut = rng.randint(0, len(pairs))
-        g = Trigraph(n, pairs[:cut // 2], pairs[cut // 2:cut])
+        g = trigraph(n, pairs[:cut // 2], pairs[cut // 2:cut])
         assert sum(len(g.red_adj[v]) for v in range(n)) == 2 * len(g.red)
 
 
 def test_max_red_degree():
-    k4 = Trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    k4 = trigraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     assert ContractionState(k4).max_red_degree() == 0
-    assert ContractionState(Trigraph(2, [], [(0, 1)])).max_red_degree() == 1
-    star = Trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
+    assert ContractionState(trigraph(2, [], [(0, 1)])).max_red_degree() == 1
+    star = trigraph(4, [], [(0, 1), (0, 2), (0, 3)])
     assert ContractionState(star).max_red_degree() == 3
 
 
-C4 = Trigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+C4 = trigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def test_quotient_singletons_is_identity():
@@ -134,7 +143,7 @@ def test_quotient_matches_definition_sampled_6():
                 black.append(e)
             elif roll < 0.5:
                 red.append(e)
-        g = Trigraph(6, black, red)
+        g = trigraph(6, black, red)
         for parts in rng.sample(parts_list, 25):
             q = quotient(g, Partition(6, parts))
             expect = quotient_by_definition(g, parts)
@@ -149,13 +158,13 @@ def test_disjointness_preserved_everywhere():
         n = rng.randint(2, 6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
-        g = Trigraph(n, pairs[: len(pairs) // 3], pairs[len(pairs) // 3: len(pairs) // 2])
+        g = trigraph(n, pairs[: len(pairs) // 3], pairs[len(pairs) // 3: len(pairs) // 2])
         for op in (redify(g), quotient(g, Partition(n, [[v] for v in range(n)]))):
             assert not op.black & op.red
 
 
 def test_redify():
-    p3 = Trigraph(3, [(0, 1), (1, 2)])
+    p3 = trigraph(3, [(0, 1), (1, 2)])
     r = redify(p3)
     assert not r.black and r.red == {(0, 1), (1, 2)}
     again = redify(r)
