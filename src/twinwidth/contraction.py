@@ -17,9 +17,9 @@ only pairs incident to the merged parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import SequenceError
+from .errors import SequenceError, TwinwidthError
 from .trigraph import _NO_NEIGHBORS, Trigraph
 
 
@@ -182,26 +182,34 @@ class ContractionState:
         new.merge(a, b)
         return new
 
-    def merged_width(self, a: int, b: int) -> int:
-        """merged(a, b).max_red_degree() for live a != b, without building the copy."""
-        black, red, count = self.black_adj, self.red_adj, self.red_count
-        reds = (red[a] | red[b] | (black[a] ^ black[b])) - {a, b}
-        width, old = len(reds), [len(red[a]), len(red[b])]
-        for q in reds:
-            red_q = red[q]
-            old.append(len(red_q))
-            width = max(width, len(red_q) + 1 - (a in red_q) - (b in red_q))
-        # Every other part keeps its degree: the histogram less a, b and reds.
-        top = self.top
-        if top <= width:
-            return width
-        for d in old:
-            count[d] -= 1
-        while top and not count[top]:
-            top -= 1
-        for d in old:
-            count[d] += 1
-        return max(width, top)
+    def fitting_pairs(self, d: int) -> Iterator[tuple[int, int]]:
+        """Yield the live pairs (a, b), a < b, in lexicographic order, whose
+        merge leaves every red degree at most d.
+
+        The state's width must be at most d, or the first step raises
+        TwinwidthError.  Then a merge can push above d only the merged
+        part, whose red set is (red[a] | red[b] | (black[a] ^ black[b])) -
+        {a, b}, and a part in that set at degree d red to neither a nor b.
+        """
+        if self.top > d:
+            raise TwinwidthError(f"the state has width {self.top}, above the bound {d}")
+        black, red, live = self.black_adj, self.red_adj, sorted(self.live)
+        for i, a in enumerate(live):
+            black_a, red_a = black[a], red[a]
+            for b in live[i + 1:]:
+                mixed = black_a ^ black[b]
+                if len(mixed) > d + 2:  # the red set holds all of it but a and b
+                    continue
+                reds = mixed.union(red_a, red[b])
+                reds -= {a, b}
+                if len(reds) > d:
+                    continue
+                for q in reds:
+                    red_q = red[q]
+                    if len(red_q) == d and a not in red_q and b not in red_q:
+                        break
+                else:
+                    yield a, b
 
     def max_red_degree(self) -> int:
         return self.top

@@ -11,7 +11,7 @@ Budgets count node expansions, never wall time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, count
+from itertools import count
 
 from .cnf import Assignment, CnfFormula, Dialect
 from .contraction import ContractionState, PartitionSequence, sequence_from_vertex_merges
@@ -266,6 +266,8 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
     Iterative deepening on the width bound d, up from the root's max red
     degree: each level's DFS, on an explicit stack over contraction states,
     memoizes failed partitions by each vertex's part representative.  A
+    pair is tested only against d (`fitting_pairs`), which is exact because
+    every state the search opens, the root included, has width at most d.  A
     level with d >= n - 2 takes the first pair at every node, so the loop
     ends.  The budget counts levels and descents; BudgetExceeded carries
     lower = d, proved by the levels below.  Meant for about a dozen vertices.
@@ -279,20 +281,19 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
         failed: set[tuple[int, ...]] = set()  # reps of states that no merge order finishes
         spend(d)
         # per open state: the merge into it, its rep, and the pairs it has left to try
-        stack = [((), root, tuple(range(n)), combinations(sorted(root.live), 2))]
+        stack = [((), root, tuple(range(n)), root.fitting_pairs(d))]
         while stack:
             _, state, rep, pairs = stack[-1]
             for a, b in pairs:
-                if state.merged_width(a, b) <= d:
-                    if len(state.live) == 2:
-                        merges = [frame[0] for frame in stack[1:]] + [(a, b)]
-                        return d, sequence_from_vertex_merges(n, merges)
-                    child_rep = tuple(a if r == b else r for r in rep)
-                    if child_rep not in failed:  # copy only the states descended into
-                        spend(d)
-                        child = state.merged(a, b)
-                        stack.append(((a, b), child, child_rep, combinations(sorted(child.live), 2)))
-                        break
+                if len(state.live) == 2:
+                    merges = [frame[0] for frame in stack[1:]] + [(a, b)]
+                    return d, sequence_from_vertex_merges(n, merges)
+                child_rep = tuple(a if r == b else r for r in rep)
+                if child_rep not in failed:  # copy only the states descended into
+                    spend(d)
+                    child = state.merged(a, b)
+                    stack.append(((a, b), child, child_rep, child.fitting_pairs(d)))
+                    break
             else:
                 failed.add(rep)
                 stack.pop()

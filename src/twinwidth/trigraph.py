@@ -1,20 +1,16 @@
 """Trigraphs: graphs with disjoint black (definite) and red (error) edge sets.
 
 Vertices are dense 0-based integers.  Each vertex's black and red
-neighbors are frozensets, the only edge state; `black` and `red` rebuild
-edge sets from them on every read, so large-graph code reads neighbor
-sets.  A plain graph has no red edges.  Instances are immutable, and
-operations here return fresh objects.
+neighbors are frozensets, the only edge state.  A plain graph has no red
+edges.  Instances are immutable, and operations here return fresh objects.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping
 
 from .errors import OverlapError, TwinwidthError
-
-Edge = tuple[int, int]
 
 # The readers refuse larger headers and the reductions larger instances,
 # each before allocating anything.
@@ -29,10 +25,6 @@ def check_size(vertices: int, edges: int = 0) -> None:
     for count, cap, what in ((vertices, MAX_VERTICES, "vertices"), (edges, MAX_EDGES, "edges")):
         if count > cap:
             raise TwinwidthError(f"the instance would have {count} {what}, above the cap of {cap}")
-
-
-def _edges(adj: Sequence[frozenset[int]]) -> frozenset[Edge]:
-    return frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
 
 
 def edge_count(adj: Iterable[Collection[int]]) -> int:
@@ -56,16 +48,9 @@ class Trigraph:
                 adj[v] = frozenset(nbrs) if nbrs else _NO_NEIGHBORS
         self.n, self.black_adj, self.red_adj = n, tuple(black), tuple(red)
         if not all(map(frozenset.isdisjoint, self.black_adj, self.red_adj)):
-            raise OverlapError(f"edges both black and red: {sorted(self.black & self.red)}")
+            both = [(u, v) for u, nbrs in enumerate(black) for v in sorted(nbrs & red[u]) if u < v]
+            raise OverlapError(f"edges both black and red: {both}")
         self.labels: dict[int, str] = dict(labels) if labels else {}  # role text, e.g. "A 2 5"
-
-    @property
-    def black(self) -> frozenset[Edge]:
-        return _edges(self.black_adj)
-
-    @property
-    def red(self) -> frozenset[Edge]:
-        return _edges(self.red_adj)
 
     def __repr__(self) -> str:
         return f"Trigraph(n={self.n}, black={edge_count(self.black_adj)}, red={edge_count(self.red_adj)})"

@@ -3,20 +3,22 @@
 Everything here is deliberately written from the definitions, in a
 different style from the package (flag scans instead of counters, raw
 enumeration instead of branch and bound), so agreement is meaningful.
-The exceptions are `read_trigraph_two_pass`, `write_trigraph_by_lines`,
+The exceptions are `exact_twinwidth_by_copies`,
+`read_trigraph_two_pass`, `write_trigraph_by_lines`,
 `read_sequence_by_helpers` and `threecol_assignment_by_sets`, the
-package's earlier trigraph reader and writer, sequence reader and 3col
-backward map, kept so that the current code can be compared with them
-message for message and byte for byte.  The first four functions and
-the last three are not references but small helpers that only tests
-call.
+package's earlier twin-width search, trigraph reader and writer,
+sequence reader and 3col backward map, kept so that the current code
+can be compared with them step for step, message for message and byte
+for byte.  The first five functions and the last three are not
+references but small helpers that only tests call.
 """
 
 import itertools
 
-from twinwidth import Partition, PartitionSequence, Trigraph, is_proper, quotient
+from twinwidth import (ContractionState, Partition, PartitionSequence, Trigraph, is_proper,
+                       quotient, sequence_from_vertex_merges)
 from twinwidth.cnf import Dialect, literal_value, nae_satisfies
-from twinwidth.errors import OverlapError, ParseError, TwinwidthError
+from twinwidth.errors import BudgetExceeded, OverlapError, ParseError, TwinwidthError
 from twinwidth.formats import _header
 from twinwidth.trigraph import edge_count
 
@@ -34,6 +36,11 @@ def trigraph(n, black=(), red=(), labels=None):
     return Trigraph(n, *sides, labels)
 
 
+def edges(adj):
+    """The edge pairs (u, v), u < v, of a symmetric neighbor-set table."""
+    return frozenset((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+
+
 def max_red_degree(g):
     """The largest red degree of a trigraph, read from its red neighbor sets."""
     return max(map(len, g.red_adj), default=0)
@@ -41,7 +48,7 @@ def max_red_degree(g):
 
 def redify(g):
     """Reclassify every black edge as red (cannot decrease twin-width)."""
-    return trigraph(g.n, (), g.black | g.red, g.labels)
+    return trigraph(g.n, (), edges(g.black_adj) | edges(g.red_adj), g.labels)
 
 
 def pair_colors(state):
@@ -59,15 +66,16 @@ def quotient_by_definition(g, parts):
     Returns {(i, j): 'black' | 'red'} on part indices (i < j).
     """
     out = {}
+    black, red = edges(g.black_adj), edges(g.red_adj)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             any_red = any_black = any_nonadj = False
             for u in parts[i]:
                 for v in parts[j]:
                     e = (u, v) if u < v else (v, u)
-                    if e in g.red:
+                    if e in red:
                         any_red = True
-                    elif e in g.black:
+                    elif e in black:
                         any_black = True
                     else:
                         any_nonadj = True
@@ -82,8 +90,9 @@ def brute_k_colorable(g, k):
     """Exhaustive product over all color vectors.  Tiny graphs only."""
     if g.n == 0:
         return True
+    black = edges(g.black_adj)
     for colors in itertools.product(range(1, k + 1), repeat=g.n):
-        if all(colors[u] != colors[v] for u, v in g.black):
+        if all(colors[u] != colors[v] for u, v in black):
             return True
     return False
 
@@ -156,6 +165,47 @@ def greedy_merge_width(g):
         width = max(width, best[0])
         parts = best[1]
     return width
+
+
+def exact_twinwidth_by_copies(g, budget=None):
+    """The exact twin-width search as first written: the package's
+    iterative deepening and DFS, with each pair scored by building its
+    merged copy and reading the copy's width.  Returns (width, sequence,
+    expansions); past `budget` expansions it raises BudgetExceeded with
+    lower = the width it was trying."""
+    n = g.n
+    if n <= 1:
+        return 0, PartitionSequence(n, ()), 0
+    root = ContractionState(g)
+    spent = 0
+
+    def spend(d):
+        nonlocal spent
+        spent += 1
+        if budget is not None and spent > budget:
+            raise BudgetExceeded(f"twin-width search exceeded {budget} expansions", d)
+
+    for d in itertools.count(root.max_red_degree()):
+        failed = set()
+        spend(d)
+        stack = [((), root, tuple(range(n)), itertools.combinations(sorted(root.live), 2))]
+        while stack:
+            _, state, rep, pairs = stack[-1]
+            for a, b in pairs:
+                if state.merged(a, b).max_red_degree() <= d:
+                    if len(state.live) == 2:
+                        merges = [frame[0] for frame in stack[1:]] + [(a, b)]
+                        return d, sequence_from_vertex_merges(n, merges), spent
+                    child_rep = tuple(a if r == b else r for r in rep)
+                    if child_rep not in failed:
+                        spend(d)
+                        child = state.merged(a, b)
+                        stack.append(((a, b), child, child_rep,
+                                      itertools.combinations(sorted(child.live), 2)))
+                        break
+            else:
+                failed.add(rep)
+                stack.pop()
 
 
 def brute_sat(formula):
@@ -247,11 +297,11 @@ def random_cograph(n, rng):
     split = rng.randint(1, n - 1)
     left = random_cograph(split, rng)
     right = random_cograph(n - split, rng)
-    edges = list(left.black)
-    edges.extend((u + left.n, v + left.n) for u, v in right.black)
+    pairs = list(edges(left.black_adj))
+    pairs.extend((u + left.n, v + left.n) for u, v in edges(right.black_adj))
     if rng.random() < 0.5:  # join
-        edges.extend((u, v + left.n) for u in range(left.n) for v in range(right.n))
-    return trigraph(n, edges)
+        pairs.extend((u, v + left.n) for u in range(left.n) for v in range(right.n))
+    return trigraph(n, pairs)
 
 
 def read_trigraph_two_pass(text):
@@ -284,7 +334,7 @@ def read_trigraph_two_pass(text):
     except OverlapError:
         u, v = min({(min(e), max(e)) for e in black} & {(min(e), max(e)) for e in red})
         raise ParseError(f"pair {u + 1} {v + 1} is both a black and a red edge") from None
-    if len(g.black) + len(g.red) < n_black + n_red:
+    if len(edges(g.black_adj)) + len(edges(g.red_adj)) < n_black + n_red:
         pairs = sorted((min(e), max(e)) for e in black + red)
         u, v = next(a for a, b in zip(pairs, pairs[1:]) if a == b)
         raise ParseError(f"pair {u + 1} {v + 1} is on two edge lines")

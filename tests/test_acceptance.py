@@ -17,7 +17,7 @@ import pytest
 from corpus import (exhaustive_threesat_corpus, random_nae_corpus,
                     random_formula, random_threesat_corpus,
                     structured_nae_corpus)
-from reference import pair_colors, random_cograph, redify, trigraph
+from reference import edges, pair_colors, random_cograph, redify, trigraph
 from twinwidth import (ContractionState, Dialect, Partition,
                        build_3col, build_3col_4sequence, build_mincol,
                        build_mincol_3sequence, chromatic_number,
@@ -122,9 +122,9 @@ def test_acceptance_01_quotient_oracle_equivalence():
                     ordered = sorted(parts)
                     q = quotient(g, Partition(5, [sorted(parts[r]) for r in ordered]))
                     expect = {}
-                    for i, j in q.black:
+                    for i, j in edges(q.black_adj):
                         expect[(ordered[i], ordered[j])] = "black"
-                    for i, j in q.red:
+                    for i, j in edges(q.red_adj):
                         expect[(ordered[i], ordered[j])] = "red"
                     assert pair_colors(state) == expect
                     checked += 1

@@ -1,3 +1,4 @@
+from itertools import combinations
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from twinwidth import (ContractionState, Dialect, PartitionSequence,
                        sequence_from_vertex_merges, verify_d_sequence)
 from twinwidth import Partition, WidthProfile, quotient
 from twinwidth import exact_twinwidth
-from twinwidth.errors import SequenceError
+from twinwidth.errors import SequenceError, TwinwidthError
 
 
 def test_merge_script_normalizes_to_representatives():
@@ -137,9 +138,10 @@ def test_incremental_matches_definition_on_random_graphs():
             assert pair_colors(state) == expect
 
 
-def test_merged_width_matches_the_merged_copy():
-    """For every live pair along random scripts, merged_width is the copy's
-    width, and scoring a pair leaves the receiver as it was."""
+def test_fitting_pairs_match_the_merged_copies():
+    """Along random scripts and for every bound d from the state's width up
+    to n, fitting_pairs(d) yields, in order, the live pairs whose merged copy
+    has width at most d, and scoring leaves the receiver as it was."""
     rng = random.Random(314)
     checks = 0
     for _ in range(80):
@@ -150,14 +152,24 @@ def test_merged_width_matches_the_merged_copy():
         state = ContractionState(trigraph(n, black, red))
         for a, b in _random_full_merges(n, rng):
             colors, count = pair_colors(state), state.red_count.copy()
-            live = sorted(state.live)
-            for i, p in enumerate(live):
-                for q in live[i + 1:]:
-                    assert state.merged_width(p, q) == state.merged(p, q).max_red_degree()
-                    checks += 1
+            widths = {p: state.merged(*p).max_red_degree()
+                      for p in combinations(sorted(state.live), 2)}
+            for d in range(state.max_red_degree(), n + 1):
+                assert list(state.fitting_pairs(d)) == [p for p, w in widths.items() if w <= d]
+                checks += len(widths)
             assert (pair_colors(state), state.red_count) == (colors, count)
             state.merge(a, b)
-    assert checks > 5000
+    assert checks > 20000
+
+
+def test_fitting_pairs_refuse_a_bound_below_the_width():
+    # the red path 0 - 1 - 2 has width 2, and merging 0 with 2 leaves width 1:
+    # below the state's width a part outside the merge can decide, so it raises
+    state = ContractionState(trigraph(3, [], [(0, 1), (1, 2)]))
+    assert state.merged(0, 2).max_red_degree() == 1
+    with pytest.raises(TwinwidthError, match=r"^the state has width 2, above the bound 1$"):
+        next(state.fitting_pairs(1))
+    assert list(state.fitting_pairs(2)) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_width_monotone_under_redify():

@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from reference import max_red_degree, pair_colors, trigraph  # noqa: E402
+from reference import edges, max_red_degree, pair_colors, trigraph  # noqa: E402
 from twinwidth import ContractionState, Partition, quotient  # noqa: E402
 
 
@@ -46,8 +46,8 @@ def test_every_prefix_matches_quotient(case):
         parts[a] |= parts.pop(b)
         reps = sorted(parts)
         by_def = quotient(g, Partition(g.n, [parts[r] for r in reps]))
-        expect = {(reps[i], reps[j]): "black" for i, j in by_def.black}
-        expect.update({(reps[i], reps[j]): "red" for i, j in by_def.red})
+        expect = {(reps[i], reps[j]): "black" for i, j in edges(by_def.black_adj)}
+        expect.update({(reps[i], reps[j]): "red" for i, j in edges(by_def.red_adj)})
         assert pair_colors(state) == expect
         for p in range(g.n):  # symmetric and disjoint neighbor sets; none for dead parts
             black, red = state.black_adj[p], state.red_adj[p]
@@ -59,12 +59,13 @@ def test_every_prefix_matches_quotient(case):
 
 @settings(max_examples=200, deadline=None)
 @given(trigraph_and_merges())
-def test_merged_width_matches_the_merged_copy(case):
+def test_fitting_pairs_match_the_merged_copies(case):
     g, merges = case
     state = ContractionState(g)
     for a, b in merges:
         colors, count = pair_colors(state), state.red_count.copy()
-        for p, q in combinations(sorted(state.live), 2):
-            assert state.merged_width(p, q) == state.merged(p, q).max_red_degree()
+        widths = {p: state.merged(*p).max_red_degree() for p in combinations(sorted(state.live), 2)}
+        for d in range(state.max_red_degree(), g.n + 1):
+            assert list(state.fitting_pairs(d)) == [p for p, w in widths.items() if w <= d]
         assert (pair_colors(state), state.red_count) == (colors, count)
         state.merge(a, b)

@@ -9,7 +9,8 @@ import pytest
 from corpus import random_formula, random_threesat_corpus
 from reference import (all_graphs, brute_chromatic, brute_nae, brute_sat,
                        brute_twinwidth, greedy_merge_width, random_cograph)
-from reference import backtrack_solve, greedy_clique_by_scan, redify, trigraph
+from reference import (backtrack_solve, edges, exact_twinwidth_by_copies, greedy_clique_by_scan,
+                       redify, trigraph)
 import twinwidth
 from twinwidth import (CnfFormula, Coloring, ContractionState, Dialect,
                        chromatic_number, exact_twinwidth, is_k_colorable,
@@ -31,7 +32,7 @@ STRESS = CnfFormula(3, ((-3, -3, -2), (-2, -1, 3), (-1, 2, 2)), Dialect.THREE_SA
 def relabeled(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
-    return trigraph(g.n, [(perm[u], perm[v]) for u, v in g.black])
+    return trigraph(g.n, [(perm[u], perm[v]) for u, v in edges(g.black_adj)])
 
 
 def test_is_proper():
@@ -294,14 +295,14 @@ def test_exact_twinwidth_beats_the_greedy_bound():
 
 def test_exact_twinwidth_budget_zero_scores_no_pair(monkeypatch):
     calls = 0
-    merged_width = ContractionState.merged_width
+    fitting_pairs = ContractionState.fitting_pairs
 
-    def counted(self, a, b):
+    def counted(self, d):
         nonlocal calls
         calls += 1
-        return merged_width(self, a, b)
+        return fitting_pairs(self, d)
 
-    monkeypatch.setattr(ContractionState, "merged_width", counted)
+    monkeypatch.setattr(ContractionState, "fitting_pairs", counted)
     with pytest.raises(BudgetExceeded):
         exact_twinwidth(_gnp(40, 0.1, 40), budget=0)
     assert calls == 0
@@ -330,6 +331,30 @@ def test_exact_twinwidth_copies_only_the_states_it_descends_into(monkeypatch):
     assert copies["width1-7"] == (9, 9)
 
 
+def test_exact_twinwidth_matches_the_search_by_copies():
+    # the same width, witness and smallest deciding budget as the search
+    # that scores each pair by its merged copy, and the same lower bound
+    # one expansion short of deciding
+    rng = random.Random(2026)
+    with_red = 0
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        black = [e for e in pairs if rng.random() < rng.choice((0.3, 0.5))]
+        red = [e for e in pairs if e not in black and rng.random() < 0.3] if rng.random() < 0.4 else []
+        with_red += bool(red)
+        g = trigraph(n, black, red)
+        width, seq, budget = exact_twinwidth_by_copies(g)
+        assert exact_twinwidth(g) == exact_twinwidth(g, budget=budget) == (width, seq)
+        lowers = []
+        for search in (exact_twinwidth, exact_twinwidth_by_copies):
+            with pytest.raises(BudgetExceeded) as exc:
+                search(g, budget=budget - 1)
+            lowers.append(exc.value.lower)
+        assert lowers == [width, width]
+    assert with_red > 50, with_red
+
+
 def test_exact_twinwidth_skip_bound_is_sound():
     # each budget short of deciding raises with a lower bound that brute force confirms
     for seed in range(150):
@@ -355,8 +380,8 @@ def _pinned_coloring_graphs(mincol_demo, threecol_demo):
                               + [(5 + i, (i + s) % 5) for i in range(5) for s in (1, 4)]
                               + [(10, 5 + i) for i in range(5)])
     # M5: the Mycielskian of Groetzsch, triangle-free with chromatic number 5
-    edges = sorted(groetzsch.black)
-    m5 = trigraph(23, edges + [(11 + u, v) for u, v in edges] + [(11 + v, u) for u, v in edges]
+    pairs = sorted(edges(groetzsch.black_adj))
+    m5 = trigraph(23, pairs + [(11 + u, v) for u, v in pairs] + [(11 + v, u) for u, v in pairs]
                   + [(22, 11 + i) for i in range(11)])
     # not 3-colorable (brute force agrees), and the precoloring of the
     # greedy clique {0, 1, 8} already leaves a vertex without a color

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import NAE_DEMO_SUBDIVISIONS
 from corpus import nae_unsat_formula, random_formula
-from reference import read_outcome, threecol_assignment_by_sets, trigraph
+from reference import edges, read_outcome, threecol_assignment_by_sets, trigraph
 from twinwidth import (CnfFormula, Coloring, Dialect, build_3col,
                        build_3col_4sequence, is_k_colorable, is_proper,
                        lift_to_k, nae_satisfies, solve_nae,
@@ -147,7 +147,7 @@ def test_backward_map_agrees_with_the_two_set_rule():
             continue
         paths_end = inst.triangle(1, "u")  # path and subdivision ids lie below
         pathless = replace(inst, graph=trigraph(inst.graph.n, [
-            (u, v) for u, v in inst.graph.black if max(u, v) >= paths_end]))
+            (u, v) for u, v in edges(inst.graph.black_adj) if max(u, v) >= paths_end]))
         for target in (inst, pathless):
             for _ in range(20):
                 colors = list(witness.colors)
@@ -258,7 +258,7 @@ def test_equivalence_spot_checks():
 def test_lift_identity_at_3(threecol_demo, threecol_demo_sequence):
     graph, seq = lift_to_k(threecol_demo, 3)
     assert graph.n == threecol_demo.graph.n
-    assert graph.black == threecol_demo.graph.black
+    assert edges(graph.black_adj) == edges(threecol_demo.graph.black_adj)
     assert seq == threecol_demo_sequence
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from reference import all_graphs, all_partitions, quotient_by_definition, redify, trigraph
+from reference import all_graphs, all_partitions, edges, quotient_by_definition, redify, trigraph
 from twinwidth import ContractionState, Partition, Trigraph, quotient
 from twinwidth.errors import OverlapError, TwinwidthError
 
@@ -10,13 +10,15 @@ from twinwidth.errors import OverlapError, TwinwidthError
 def test_make_trigraph_plain_path():
     g = trigraph(3, [(0, 1), (1, 2)])
     assert g.n == 3
-    assert g.black == {(0, 1), (1, 2)}
-    assert g.red == frozenset()
+    assert edges(g.black_adj) == {(0, 1), (1, 2)}
+    assert edges(g.red_adj) == frozenset()
 
 
 def test_make_trigraph_rejects_overlap():
     with pytest.raises(OverlapError, match=r"edges both black and red: \[\(0, 1\)\]"):
         Trigraph(2, [[1], [0]], [[1], [0]])
+    with pytest.raises(OverlapError, match=r"red: \[\(0, 2\), \(1, 2\)\]$"):
+        Trigraph(3, [[2], [2], [1, 0]], [[2], [2], [1, 0]])
 
 
 def test_make_trigraph_rejects_overlap_reversed_pair():
@@ -39,14 +41,14 @@ def test_make_trigraph_freezes_its_lists_in_place():
     g = Trigraph(3, black, red, {0: "Z"})
     assert black == [frozenset({1, 2}), frozenset({0}), frozenset({0})]
     assert g.black_adj == tuple(black) and g.red_adj == (frozenset(),) * 3
-    assert g.black == {(0, 1), (0, 2)} and not g.red and g.labels == {0: "Z"}
+    assert edges(g.black_adj) == {(0, 1), (0, 2)} and not edges(g.red_adj) and g.labels == {0: "Z"}
 
 
 def test_make_trigraph_single_vertex_and_duplicates():
     g = trigraph(1)
-    assert g.n == 1 and not g.black and not g.red
+    assert g.n == 1 and not edges(g.black_adj) and not edges(g.red_adj)
     g = trigraph(3, [(0, 1), (1, 0), (0, 1)])
-    assert g.black == {(0, 1)}
+    assert edges(g.black_adj) == {(0, 1)}
 
 
 def test_red_degree_counts():
@@ -65,7 +67,7 @@ def test_red_degree_sum_is_twice_red_edges():
         rng.shuffle(pairs)
         cut = rng.randint(0, len(pairs))
         g = trigraph(n, pairs[:cut // 2], pairs[cut // 2:cut])
-        assert sum(len(g.red_adj[v]) for v in range(n)) == 2 * len(g.red)
+        assert sum(len(g.red_adj[v]) for v in range(n)) == 2 * len(edges(g.red_adj))
 
 
 def test_max_red_degree():
@@ -81,25 +83,25 @@ C4 = trigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 def test_quotient_singletons_is_identity():
     q = quotient(C4, Partition(4, [[v] for v in range(4)]))
-    assert q.black == C4.black and q.red == C4.red
+    assert edges(q.black_adj) == edges(C4.black_adj) and edges(q.red_adj) == edges(C4.red_adj)
 
 
 def test_quotient_one_part_has_no_edges():
     q = quotient(C4, Partition(4, [[0, 1, 2, 3]]))
-    assert q.n == 1 and not q.black and not q.red
+    assert q.n == 1 and not edges(q.black_adj) and not edges(q.red_adj)
 
 
 def test_quotient_c4_adjacent_pair_goes_red():
     # {0,1} sees both an edge and a non-edge toward {2} and toward {3}
     q = quotient(C4, Partition(4, [[0, 1], [2], [3]]))
-    assert q.red == {(0, 1), (0, 2)}
-    assert q.black == {(1, 2)}
+    assert edges(q.red_adj) == {(0, 1), (0, 2)}
+    assert edges(q.black_adj) == {(1, 2)}
 
 
 def test_quotient_c4_opposite_pair_stays_black():
     q = quotient(C4, Partition(4, [[0, 2], [1], [3]]))
-    assert q.black == {(0, 1), (0, 2)}
-    assert q.red == frozenset()
+    assert edges(q.black_adj) == {(0, 1), (0, 2)}
+    assert edges(q.red_adj) == frozenset()
     assert len(q.red_adj[0]) == 0
 
 
@@ -126,8 +128,8 @@ def test_quotient_matches_definition_exhaustive_small():
         for parts in parts_list:
             q = quotient(g, Partition(4, parts))
             expect = quotient_by_definition(g, parts)
-            got = {e: "black" for e in q.black}
-            got.update({e: "red" for e in q.red})
+            got = {e: "black" for e in edges(q.black_adj)}
+            got.update({e: "red" for e in edges(q.red_adj)})
             assert got == expect
 
 
@@ -147,8 +149,8 @@ def test_quotient_matches_definition_sampled_6():
         for parts in rng.sample(parts_list, 25):
             q = quotient(g, Partition(6, parts))
             expect = quotient_by_definition(g, parts)
-            got = {e: "black" for e in q.black}
-            got.update({e: "red" for e in q.red})
+            got = {e: "black" for e in edges(q.black_adj)}
+            got.update({e: "red" for e in edges(q.red_adj)})
             assert got == expect
 
 
@@ -160,12 +162,12 @@ def test_disjointness_preserved_everywhere():
         rng.shuffle(pairs)
         g = trigraph(n, pairs[: len(pairs) // 3], pairs[len(pairs) // 3: len(pairs) // 2])
         for op in (redify(g), quotient(g, Partition(n, [[v] for v in range(n)]))):
-            assert not op.black & op.red
+            assert not edges(op.black_adj) & edges(op.red_adj)
 
 
 def test_redify():
     p3 = trigraph(3, [(0, 1), (1, 2)])
     r = redify(p3)
-    assert not r.black and r.red == {(0, 1), (1, 2)}
+    assert not edges(r.black_adj) and edges(r.red_adj) == {(0, 1), (1, 2)}
     again = redify(r)
-    assert again.red == r.red and not again.black
+    assert edges(again.red_adj) == edges(r.red_adj) and not edges(again.black_adj)
