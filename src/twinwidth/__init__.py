@@ -18,7 +18,7 @@ from .threecol import (ThreeColInstance, build_3col, build_3col_4sequence,
                        lift_to_k, subdivision_positions,
                        threecol_assignment_from_coloring,
                        threecol_coloring_from_assignment)
-from .trigraph import Partition, Trigraph, quotient
+from .trigraph import Trigraph, quotient
 
 __all__ = [
     "Assignment", "CnfFormula", "Dialect", "nae_satisfies", "satisfies",
@@ -30,5 +30,5 @@ __all__ = [
     "solve_sat", "ThreeColInstance", "build_3col",
     "build_3col_4sequence", "lift_to_k", "subdivision_positions",
     "threecol_assignment_from_coloring", "threecol_coloring_from_assignment",
-    "Partition", "Trigraph", "quotient",
+    "Trigraph", "quotient",
 ]

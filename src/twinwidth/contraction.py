@@ -11,7 +11,8 @@ part to a third part q follows from the colors of a-q and b-q alone:
 black iff both were black, red iff either was red or q is adjacent to
 only one of a and b, absent iff q is adjacent to neither.  This
 reproduces the from-scratch quotient exactly, merge by merge, touching
-only pairs incident to the merged parts.
+only pairs incident to the merged parts.  It is the package's one
+quotient engine: `trigraph.quotient` reads its quotients off this state.
 """
 
 from __future__ import annotations

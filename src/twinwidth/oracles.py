@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .cnf import Assignment, CnfFormula, Dialect
-from .contraction import ContractionState, PartitionSequence, sequence_from_vertex_merges
+from .contraction import ContractionState, PartitionSequence
 from .errors import BudgetExceeded, TwinwidthError
 from .trigraph import Trigraph
 
@@ -106,11 +106,16 @@ def is_k_colorable(g: Trigraph, k: int, budget: int | None = None
     """
     if any(g.red_adj):
         raise TwinwidthError("colorability is defined for plain graphs")
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return True, Coloring((), max(k, 0))
     order = _base_order(g)
-    clique = greedy_clique(g, order)
+    return _search(g, k, order, greedy_clique(g, order), budget)
+
+
+def _search(g: Trigraph, k: int, order: list[int], clique: list[int], budget: int | None
+            ) -> tuple[bool, Coloring | None]:
+    """is_k_colorable's search, n > 0; chromatic_number sets up order and clique once."""
+    n = g.n
     if len(clique) > k:  # also every k <= 0, since n > 0
         return False, None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
@@ -251,7 +256,7 @@ def chromatic_number(g: Trigraph, budget: int | None = None) -> tuple[int, Color
     clique = greedy_clique(g, order)
     for k in range(len(clique), greedy.k):
         try:
-            ok, witness = is_k_colorable(g, k, budget)
+            ok, witness = _search(g, k, order, clique, budget)
         except BudgetExceeded as exc:
             raise BudgetExceeded(str(exc), lower=k, upper=greedy.k) from None
         if ok:
@@ -287,7 +292,7 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
             for a, b in pairs:
                 if len(state.live) == 2:
                     merges = [frame[0] for frame in stack[1:]] + [(a, b)]
-                    return d, sequence_from_vertex_merges(n, merges)
+                    return d, PartitionSequence(n, tuple(merges))
                 child_rep = tuple(a if r == b else r for r in rep)
                 if child_rep not in failed:  # copy only the states descended into
                     spend(d)

@@ -3,11 +3,11 @@
 Vertices are dense 0-based integers.  Each vertex's black and red
 neighbors are frozensets, the only edge state.  A plain graph has no red
 edges.  Instances are immutable, and operations here return fresh objects.
+`quotient` reads its quotients off the contraction engine, ContractionState.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
 from .errors import OverlapError, TwinwidthError
@@ -56,44 +56,21 @@ class Trigraph:
         return f"Trigraph(n={self.n}, black={edge_count(self.black_adj)}, red={edge_count(self.red_adj)})"
 
 
-class Partition:
-    """Disjoint nonempty vertex sets covering 0..n-1, in a fixed order."""
+def quotient(g: Trigraph, parts: Iterable[Collection[int]]) -> Trigraph:
+    """One vertex per part, in part order; the parts must split 0..n-1.
 
-    def __init__(self, n: int, parts: Iterable[Iterable[int]]):
-        self.n = n
-        self.parts: tuple[frozenset[int], ...] = tuple(frozenset(p) for p in parts)
-        part_of: list[int] = [-1] * n
-        for idx, part in enumerate(self.parts):
-            if not part:
-                raise TwinwidthError("empty part")
-            for v in part:
-                if not 0 <= v < n:
-                    raise TwinwidthError(f"vertex {v} out of range for n={n}")
-                if part_of[v] != -1:
-                    raise TwinwidthError(f"vertex {v} in two parts")
-                part_of[v] = idx
-        if any(idx == -1 for idx in part_of):
-            missing = [v for v, idx in enumerate(part_of) if idx == -1]
-            raise TwinwidthError(f"vertices not covered: {missing}")
-
-
-def quotient(g: Trigraph, p: Partition) -> Trigraph:
-    """One vertex per part of p, in part order.
-
-    A part pair is black when every cross pair is a black edge; red when
-    some cross pair is red, or the cross adjacency is mixed (some pair
-    black, some pair not adjacent); otherwise not adjacent.
+    Each part is merged into its smallest vertex on the one engine,
+    ContractionState, and the quotient is read off the merged state.
     """
-    if p.n != g.n:
-        raise TwinwidthError(f"partition is over {p.n} vertices, trigraph has {g.n}")
-    black, red = [[] for _ in p.parts], [[] for _ in p.parts]
-    for (i, part_i), (j, part_j) in combinations(enumerate(p.parts), 2):
-        blacks = reds = 0
-        for u in part_i:
-            blacks += len(g.black_adj[u] & part_j)
-            reds += len(g.red_adj[u] & part_j)
-        if reds or blacks:
-            side = red if reds or blacks < len(part_i) * len(part_j) else black
-            side[i].append(j)
-            side[j].append(i)
-    return Trigraph(len(p.parts), black, red)
+    from .contraction import ContractionState  # not at the top: contraction imports this module
+
+    parts = [set(part) for part in parts]
+    if not all(parts) or sorted(v for part in parts for v in part) != list(range(g.n)):
+        raise TwinwidthError(f"parts {[sorted(part) for part in parts]} do not split 0..{g.n - 1}")
+    reps = [min(part) for part in parts]
+    state = ContractionState(g)
+    state.merge_all((r, v) for r, part in zip(reps, parts) for v in part if v != r)
+    index = {r: i for i, r in enumerate(reps)}
+    black = [[index[q] for q in state.black_adj[r]] for r in reps]
+    red = [[index[q] for q in state.red_adj[r]] for r in reps]
+    return Trigraph(len(parts), black, red)

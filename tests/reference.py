@@ -15,8 +15,8 @@ references but small helpers that only tests call.
 
 import itertools
 
-from twinwidth import (ContractionState, Partition, PartitionSequence, Trigraph, is_proper,
-                       quotient, sequence_from_vertex_merges)
+from twinwidth import (ContractionState, PartitionSequence, Trigraph, is_proper,
+                       sequence_from_vertex_merges)
 from twinwidth.cnf import Dialect, literal_value, nae_satisfies
 from twinwidth.errors import BudgetExceeded, OverlapError, ParseError, TwinwidthError
 from twinwidth.formats import _header
@@ -86,6 +86,16 @@ def quotient_by_definition(g, parts):
     return out
 
 
+def quotient_width(g, parts):
+    """The max red degree of quotient_by_definition(g, parts)."""
+    degree = [0] * len(parts)
+    for (i, j), color in quotient_by_definition(g, parts).items():
+        if color == "red":
+            degree[i] += 1
+            degree[j] += 1
+    return max(degree, default=0)
+
+
 def brute_k_colorable(g, k):
     """Exhaustive product over all color vectors.  Tiny graphs only."""
     if g.n == 0:
@@ -136,7 +146,7 @@ def brute_twinwidth(g):
             for j in range(i + 1, len(parts)):
                 trial = [p for t, p in enumerate(parts) if t not in (i, j)]
                 trial.append(parts[i] | parts[j])
-                w = max_red_degree(quotient(g, Partition(g.n, trial)))
+                w = quotient_width(g, trial)
                 if w >= best:
                     continue
                 sub = best_from(trial, best)
@@ -159,7 +169,7 @@ def greedy_merge_width(g):
             for j in range(i + 1, len(parts)):
                 trial = [p for t, p in enumerate(parts) if t not in (i, j)]
                 trial.append(parts[i] | parts[j])
-                w = max_red_degree(quotient(g, Partition(g.n, trial)))
+                w = quotient_width(g, trial)
                 if best is None or w < best[0]:
                     best = (w, trial)
         width = max(width, best[0])

@@ -2,7 +2,8 @@
 
 `perfbench/tracing.py` lists them in `SPANS` as (span, module, attribute
 or Class.attribute).  The list is read as text, so this test runs none
-of the benchmark's code.
+of the benchmark's code.  Each name must be defined in the module it is
+listed under, so that a span wraps the body and not a re-export.
 """
 
 import ast
@@ -27,6 +28,6 @@ def test_every_traced_name_exists():
         owner = importlib.import_module(f"twinwidth.{module}")
         for name in attr.split("."):  # a class must define the method itself
             owner = getattr(owner, "__dict__", {}).get(name)
-        if not callable(owner):
+        if not callable(owner) or owner.__module__ != f"twinwidth.{module}":
             missing.append(f"{span}: twinwidth.{module}.{attr}")
     assert not missing, missing

@@ -225,14 +225,13 @@ def test_roundtrip_mincol(sat_cnf, capsys):
 def test_roundtrip_mincol_searches_once(monkeypatch, capsys):
     """The 2n-colorability search inside chromatic_number also answers colorable_<k>."""
     calls = []
-    search = twinwidth.oracles.is_k_colorable
+    search = twinwidth.oracles._search
 
-    def recording(g, k, budget=None, **start):
+    def recording(g, k, order, clique, budget):
         calls.append(k)
-        return search(g, k, budget, **start)
+        return search(g, k, order, clique, budget)
 
-    monkeypatch.setattr(twinwidth.oracles, "is_k_colorable", recording)
-    monkeypatch.setattr(twinwidth.cli, "is_k_colorable", recording)
+    monkeypatch.setattr(twinwidth.oracles, "_search", recording)
     assert main(["roundtrip", "--mincol", str(DATA / "demo3sat.cnf")]) == 0
     out = capsys.readouterr().out
     assert "colorable_6: True" in out and "chromatic_number: 6" in out

@@ -5,11 +5,11 @@ import pytest
 
 from corpus import random_formula
 from reference import (all_graphs, max_red_degree, pair_colors,
-                       quotient_by_definition, redify, trigraph)
+                       quotient_by_definition, quotient_width, redify, trigraph)
 from twinwidth import (ContractionState, Dialect, PartitionSequence,
                        build_3col, build_3col_4sequence, replay,
                        sequence_from_vertex_merges, verify_d_sequence)
-from twinwidth import Partition, WidthProfile, quotient
+from twinwidth import WidthProfile
 from twinwidth import exact_twinwidth
 from twinwidth.errors import SequenceError, TwinwidthError
 
@@ -218,8 +218,8 @@ def test_red_degree_histogram_matches_scan_and_quotient():
             state.merge(a, b)
             parts[a] |= parts.pop(b)
             new = state.max_red_degree()
-            by_def = quotient(g, Partition(n, [parts[r] for r in sorted(parts)]))
-            assert new == _scanned_width(state) == max_red_degree(by_def)
+            by_def = quotient_width(g, [parts[r] for r in sorted(parts)])
+            assert new == _scanned_width(state) == by_def
             assert all(not state.black_adj[p] & state.red_adj[p] for p in state.live)
             rises += new > width
             falls += new < width

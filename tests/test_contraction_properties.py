@@ -10,8 +10,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from reference import edges, max_red_degree, pair_colors, trigraph  # noqa: E402
-from twinwidth import ContractionState, Partition, quotient  # noqa: E402
+from reference import (max_red_degree, pair_colors, quotient_by_definition,  # noqa: E402
+                       quotient_width, trigraph)
+from twinwidth import ContractionState  # noqa: E402
 
 
 @st.composite
@@ -45,16 +46,14 @@ def test_every_prefix_matches_quotient(case):
         state.merge(a, b)
         parts[a] |= parts.pop(b)
         reps = sorted(parts)
-        by_def = quotient(g, Partition(g.n, [parts[r] for r in reps]))
-        expect = {(reps[i], reps[j]): "black" for i, j in edges(by_def.black_adj)}
-        expect.update({(reps[i], reps[j]): "red" for i, j in edges(by_def.red_adj)})
-        assert pair_colors(state) == expect
+        by_def = quotient_by_definition(g, [parts[r] for r in reps])
+        assert pair_colors(state) == {(reps[i], reps[j]): color for (i, j), color in by_def.items()}
         for p in range(g.n):  # symmetric and disjoint neighbor sets; none for dead parts
             black, red = state.black_adj[p], state.red_adj[p]
             assert not black & red and (p in state.live or not black | red)
             assert all(p in state.black_adj[q] for q in black)
             assert all(p in state.red_adj[q] for q in red)
-        assert state.max_red_degree() == max_red_degree(by_def)
+        assert state.max_red_degree() == quotient_width(g, [parts[r] for r in reps])
 
 
 @settings(max_examples=200, deadline=None)

@@ -15,7 +15,8 @@ import twinwidth
 from twinwidth import (CnfFormula, Coloring, ContractionState, Dialect,
                        chromatic_number, exact_twinwidth, is_k_colorable,
                        is_proper, nae_satisfies, satisfies,
-                       solve_nae, solve_sat, verify_d_sequence)
+                       sequence_from_vertex_merges, solve_nae, solve_sat,
+                       verify_d_sequence)
 from twinwidth import build_mincol
 from twinwidth.errors import BudgetExceeded, TwinwidthError
 from twinwidth.oracles import _base_order, greedy_clique
@@ -279,6 +280,13 @@ def test_exact_twinwidth_pinned_witnesses_and_budgets():
         with pytest.raises(BudgetExceeded) as exc:
             exact_twinwidth(g, budget=budget - 1)
         assert (exc.value.lower, exc.value.upper) == (width, None), name
+
+
+def test_exact_twinwidth_witnesses_are_normalized():
+    """The search merges live representatives a < b, which is already the normal form."""
+    for name, g in _pinned_twinwidth_graphs().items():
+        seq = exact_twinwidth(g)[1]
+        assert seq == sequence_from_vertex_merges(g.n, seq.steps), name
 
 
 def test_exact_twinwidth_beats_the_greedy_bound():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from reference import all_graphs, all_partitions, edges, quotient_by_definition, redify, trigraph
-from twinwidth import ContractionState, Partition, Trigraph, quotient
+from twinwidth import ContractionState, Trigraph, quotient
 from twinwidth.errors import OverlapError, TwinwidthError
 
 
@@ -82,43 +82,45 @@ C4 = trigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
 def test_quotient_singletons_is_identity():
-    q = quotient(C4, Partition(4, [[v] for v in range(4)]))
+    q = quotient(C4, [[v] for v in range(4)])
     assert edges(q.black_adj) == edges(C4.black_adj) and edges(q.red_adj) == edges(C4.red_adj)
 
 
 def test_quotient_one_part_has_no_edges():
-    q = quotient(C4, Partition(4, [[0, 1, 2, 3]]))
+    q = quotient(C4, [[0, 1, 2, 3]])
     assert q.n == 1 and not edges(q.black_adj) and not edges(q.red_adj)
 
 
 def test_quotient_c4_adjacent_pair_goes_red():
     # {0,1} sees both an edge and a non-edge toward {2} and toward {3}
-    q = quotient(C4, Partition(4, [[0, 1], [2], [3]]))
+    q = quotient(C4, [[0, 1], [2], [3]])
     assert edges(q.red_adj) == {(0, 1), (0, 2)}
     assert edges(q.black_adj) == {(1, 2)}
 
 
 def test_quotient_c4_opposite_pair_stays_black():
-    q = quotient(C4, Partition(4, [[0, 2], [1], [3]]))
+    q = quotient(C4, [[0, 2], [1], [3]])
     assert edges(q.black_adj) == {(0, 1), (0, 2)}
     assert edges(q.red_adj) == frozenset()
     assert len(q.red_adj[0]) == 0
 
 
 def test_quotient_rejects_foreign_partition():
-    with pytest.raises(TwinwidthError, match="partition is over 3 vertices, trigraph has 4"):
-        quotient(C4, Partition(3, [[0], [1], [2]]))
+    """Parts for another n leave a vertex uncovered or name one out of range."""
+    with pytest.raises(TwinwidthError, match=r"parts \[\[0\], \[1\], \[2\]\] do not split 0..3$"):
+        quotient(C4, [[0], [1], [2]])
+    with pytest.raises(TwinwidthError, match="do not split 0..3"):
+        quotient(C4, [[0, 4], [1], [2], [3]])
 
 
 def test_partition_validation():
-    with pytest.raises(TwinwidthError, match=r"vertices not covered: \[2\]"):
-        Partition(3, [[0, 1]])
-    with pytest.raises(TwinwidthError, match="vertex 1 in two parts"):
-        Partition(3, [[0, 1], [1, 2]])
-    with pytest.raises(TwinwidthError, match="empty part"):
-        Partition(3, [[0], [1], [2], []])
-    with pytest.raises(TwinwidthError, match="vertex 2 out of range for n=2"):
-        Partition(2, [[0], [1], [2]])
+    """An empty part, an uncovered vertex, one in two parts, one out of range."""
+    for parts in ([[0], [1], [2], [3], []], [[0, 1], [3]], [[0, 1], [1, 2], [3]],
+                  [[0, 1, 2, 3], [-1]], [[0, 1, 2], [3.5]]):
+        with pytest.raises(TwinwidthError, match="do not split 0..3"):
+            quotient(C4, parts)
+    # a vertex named twice within one part is one member
+    assert edges(quotient(C4, [[0, 2, 0], [1, 3]]).black_adj) == {(0, 1)}
 
 
 def test_quotient_matches_definition_exhaustive_small():
@@ -126,7 +128,7 @@ def test_quotient_matches_definition_exhaustive_small():
     parts_list = [list(map(frozenset, p)) for p in all_partitions(4)]
     for g in all_graphs(4):
         for parts in parts_list:
-            q = quotient(g, Partition(4, parts))
+            q = quotient(g, parts)
             expect = quotient_by_definition(g, parts)
             got = {e: "black" for e in edges(q.black_adj)}
             got.update({e: "red" for e in edges(q.red_adj)})
@@ -147,7 +149,7 @@ def test_quotient_matches_definition_sampled_6():
                 red.append(e)
         g = trigraph(6, black, red)
         for parts in rng.sample(parts_list, 25):
-            q = quotient(g, Partition(6, parts))
+            q = quotient(g, parts)
             expect = quotient_by_definition(g, parts)
             got = {e: "black" for e in edges(q.black_adj)}
             got.update({e: "red" for e in edges(q.red_adj)})
@@ -161,7 +163,7 @@ def test_disjointness_preserved_everywhere():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         g = trigraph(n, pairs[: len(pairs) // 3], pairs[len(pairs) // 3: len(pairs) // 2])
-        for op in (redify(g), quotient(g, Partition(n, [[v] for v in range(n)]))):
+        for op in (redify(g), quotient(g, [[v] for v in range(n)])):
             assert not edges(op.black_adj) & edges(op.red_adj)
 
 
