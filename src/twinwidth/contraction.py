@@ -98,12 +98,7 @@ class ContractionState:
             self.red_count[len(reds)] += 1
         self.top = max(map(len, self.red_adj), default=0)
 
-    def merge(self, a: int, b: int) -> int:
-        """Merge the live parts with representatives a and b; returns min(a, b)."""
-        self.merge_all(((a, b),))
-        return min(a, b)
-
-    def merge_all(self, steps: Iterable[tuple[int, int]]) -> list[int]:
+    def merge(self, steps: Iterable[tuple[int, int]]) -> list[int]:
         """Merge each pair of live parts in turn; returns the max red degree after each step.
 
         This is the one merge body.  A step that names a dead part or one
@@ -180,7 +175,7 @@ class ContractionState:
         new.red_adj = [s.copy() for s in self.red_adj]
         new.red_count = self.red_count.copy()
         new.top = self.top
-        new.merge(a, b)
+        new.merge(((a, b),))
         return new
 
     def fitting_pairs(self, d: int) -> Iterator[tuple[int, int]]:
@@ -222,7 +217,7 @@ def replay(g: Trigraph, seq: PartitionSequence) -> WidthProfile:
         raise SequenceError(f"sequence is for n={seq.n}, trigraph has n={g.n}")
     state = ContractionState(g)
     initial = state.max_red_degree()
-    widths = state.merge_all(seq.steps)
+    widths = state.merge(seq.steps)
     overall = max([initial, *widths])
     return WidthProfile(initial, tuple(widths), overall)
 

@@ -24,7 +24,7 @@ def _data_lines(text: str) -> list[str]:
 
 def _header(lines: list[str], tag: str, count: int) -> list[int]:
     """The `count` integers after `tag` on the first line; the first is a vertex count."""
-    if not lines or not lines[0].startswith(tag):
+    if not lines or lines[0].split(None, 1)[0] != tag:
         raise ParseError(f"missing '{tag}' header")
     try:
         values = [int(t) for t in lines[0].split()[1:]]

@@ -120,9 +120,7 @@ def _search(g: Trigraph, k: int, order: list[int], clique: list[int], budget: in
         return False, None
     adj = [tuple(sorted(g.black_adj[v])) for v in range(n)]
     colors = [0] * n
-    forbidden = [0] * n
-    saturation = [0] * n
-    forced = k - 1
+    forbidden = [0] * n  # of an uncolored vertex: bit c - 1 iff a neighbor holds color c
     spend = _meter(budget, "coloring")
 
     # the first n k-cliques met within n*k enumeration nodes, ids ascending;
@@ -169,9 +167,8 @@ def _search(g: Trigraph, k: int, order: list[int], clique: list[int], budget: in
         for u in adj[v]:
             if not colors[u] and not forbidden[u] & bit:
                 forbidden[u] |= bit
-                saturation[u] += 1
                 touched.append(u)
-                if saturation[u] == k:
+                if forbidden[u] == (1 << k) - 1:
                     dead = True
                 for q in member_of[u]:
                     lost.append((q, color))
@@ -208,20 +205,20 @@ def _search(g: Trigraph, k: int, order: list[int], clique: list[int], budget: in
             if v < 0:
                 best = -1
                 for u in order:
-                    if not colors[u] and saturation[u] > best:
-                        best = saturation[u]
+                    if not colors[u] and (saturation := forbidden[u].bit_count()) > best:
+                        best = saturation
                         v = u
-                        if best >= forced:
+                        if best >= k - 1:
                             break
             allowed = ~forbidden[v] & ((1 << min(max_used + 1, k)) - 1)
             first &= allowed
         elif not stack:
             return False, None
         else:  # take back the deepest level's color
-            v, allowed, max_used, bit, mark, touched, lost = stack.pop()
+            v, allowed, max_used, mark, touched, lost = stack.pop()
+            bit = 1 << colors[v] - 1
             for u in touched:
                 forbidden[u] ^= bit
-                saturation[u] -= 1
             for q, c in lost:
                 support[q][c] += 1
             del singles[mark:]
@@ -235,7 +232,7 @@ def _search(g: Trigraph, k: int, order: list[int], clique: list[int], budget: in
         spend()
         mark = len(singles)
         touched, lost, back = place(v, bit)
-        stack.append((v, allowed, max_used, bit, mark, touched, lost))
+        stack.append((v, allowed, max_used, mark, touched, lost))
         max_used = max(max_used, bit.bit_length())
 
 
@@ -280,11 +277,12 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
     n = g.n
     if n <= 1:
         return 0, PartitionSequence(n, ())
-    root = ContractionState(g)
     spend = _meter(budget, "twin-width")
-    for d in count(root.max_red_degree()):
+    d = max(map(len, g.red_adj))
+    spend(d)  # the first level's count comes before the root is built
+    root = ContractionState(g)
+    while True:
         failed: set[tuple[int, ...]] = set()  # reps of states that no merge order finishes
-        spend(d)
         # per open state: the merge into it, its rep, and the pairs it has left to try
         stack = [((), root, tuple(range(n)), root.fitting_pairs(d))]
         while stack:
@@ -302,6 +300,8 @@ def exact_twinwidth(g: Trigraph, budget: int | None = None
             else:
                 failed.add(rep)
                 stack.pop()
+        d += 1
+        spend(d)
 
 
 def _solve_cnf(formula: CnfFormula) -> Assignment | None:

@@ -69,7 +69,7 @@ def quotient(g: Trigraph, parts: Iterable[Collection[int]]) -> Trigraph:
         raise TwinwidthError(f"parts {[sorted(part) for part in parts]} do not split 0..{g.n - 1}")
     reps = [min(part) for part in parts]
     state = ContractionState(g)
-    state.merge_all((r, v) for r, part in zip(reps, parts) for v in part if v != r)
+    state.merge((r, v) for r, part in zip(reps, parts) for v in part if v != r)
     index = {r: i for i, r in enumerate(reps)}
     black = [[index[q] for q in state.black_adj[r]] for r in reps]
     red = [[index[q] for q in state.red_adj[r]] for r in reps]

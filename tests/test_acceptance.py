@@ -116,7 +116,7 @@ def test_acceptance_01_quotient_oracle_equivalence():
                 reps = list(range(5))
                 while len(reps) > 1:
                     a, b = sorted(rng.sample(reps, 2))
-                    state.merge(a, b)
+                    state.merge([(a, b)])
                     parts[a] |= parts.pop(b)
                     reps.remove(b)
                     ordered = sorted(parts)

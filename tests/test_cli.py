@@ -349,6 +349,9 @@ def test_usage_errors(tmp_path, capsys):
     negative = tmp_path / "negative.tgf"
     negative.write_text("tgf -1 0 0\n")
     one_error(["chromatic", str(negative)])
+    prefixed = tmp_path / "prefixed.tgf"
+    prefixed.write_text("tgfx 2 1 0\nb 1 2\n")  # a tag that only starts with 'tgf'
+    one_error(["chromatic", str(prefixed)])
     one_error(["sat", str(tmp_path)])
     latin1 = tmp_path / "latin1.cnf"
     latin1.write_bytes("c caf\xe9\np cnf 3 2\n1 -2 3 0\n-1 2 -3 0\n".encode("latin-1"))

@@ -55,7 +55,7 @@ def test_replay_p4_middle_merge():
     profile = replay(g, sequence_from_vertex_merges(4, [(1, 2)]))
     assert profile.per_step_width == (2,)
     state = ContractionState(g)
-    state.merge(1, 2)
+    state.merge([(1, 2)])
     assert len(state.red_adj[1]) == 2
 
 
@@ -66,7 +66,7 @@ def test_replay_errors():
     with pytest.raises(SequenceError):
         replay(g, PartitionSequence(3, ((0, 1), (0, 1))))
     with pytest.raises(SequenceError, match=r"merge \(1,1\) names the same part twice"):
-        ContractionState(g).merge(1, 1)
+        ContractionState(g).merge([(1, 1)])
 
 
 def test_verify_requires_full_sequence():
@@ -97,7 +97,7 @@ def test_part_count_shrinks_by_one_per_step():
     seq = sequence_from_vertex_merges(5, [(0, 1), (2, 3), (0, 4), (0, 2)])
     assert len(seq.steps) == g.n - 1
     for idx, step in enumerate(seq.steps, start=1):
-        state.merge(*step)
+        state.merge([step])
         assert len(state.live) == g.n - idx
 
 
@@ -127,7 +127,7 @@ def test_incremental_matches_definition_on_random_graphs():
             colors, width = pair_colors(state), state.max_red_degree()
             child = state.merged(a, b)
             assert (pair_colors(state), state.max_red_degree()) == (colors, width)
-            state.merge(a, b)
+            state.merge([(a, b)])
             assert pair_colors(child) == pair_colors(state)
             assert child.max_red_degree() == state.max_red_degree()
             parts[a] = parts[a] | parts.pop(b)
@@ -158,7 +158,7 @@ def test_fitting_pairs_match_the_merged_copies():
                 assert list(state.fitting_pairs(d)) == [p for p, w in widths.items() if w <= d]
                 checks += len(widths)
             assert (pair_colors(state), state.red_count) == (colors, count)
-            state.merge(a, b)
+            state.merge([(a, b)])
     assert checks > 20000
 
 
@@ -213,9 +213,9 @@ def test_red_degree_histogram_matches_scan_and_quotient():
             before = (state.red_count.copy(), state.top, state.max_red_degree())
             child = state.merged(a, b)
             if len(child.live) > 1:
-                child.merge(*sorted(child.live)[-2:])
+                child.merge([sorted(child.live)[-2:]])
             assert (state.red_count, state.top, state.max_red_degree()) == before
-            state.merge(a, b)
+            state.merge([(a, b)])
             parts[a] |= parts.pop(b)
             new = state.max_red_degree()
             by_def = quotient_width(g, [parts[r] for r in sorted(parts)])
@@ -232,7 +232,7 @@ def _scanned_profile(g, seq):
     initial = _scanned_width(state)
     widths = []
     for step in seq.steps:
-        state.merge(*step)
+        state.merge([step])
         widths.append(_scanned_width(state))
     return WidthProfile(initial, tuple(widths), max([initial, *widths]))
 
@@ -266,8 +266,8 @@ def _random_red_trigraph(rng, n):
     return trigraph(n, black, red)
 
 
-def test_merge_all_matches_stepwise_merges_at_every_prefix():
-    """One merge_all over a prefix leaves the state that merge plus
+def test_one_merge_over_a_prefix_matches_stepwise_merges():
+    """One merge over a prefix leaves the state that one-step merges plus
     max_red_degree reach step by step, and that state is the quotient."""
     rng = random.Random(1919)
     for _ in range(40):
@@ -278,12 +278,12 @@ def test_merge_all_matches_stepwise_merges_at_every_prefix():
         parts = {v: frozenset([v]) for v in range(n)}
         widths = []
         for k, (a, b) in enumerate(script, start=1):
-            stepwise.merge(a, b)
+            stepwise.merge([(a, b)])
             widths.append(stepwise.max_red_degree())
             a, b = min(a, b), max(a, b)
             parts[a] = parts[a] | parts.pop(b)
             state = ContractionState(g)
-            assert state.merge_all(script[:k]) == widths
+            assert state.merge(script[:k]) == widths
             assert state.live == stepwise.live == set(parts)
             for merged in (state, stepwise):
                 assert merged.max_red_degree() == max(len(merged.red_adj[v]) for v in merged.live)
@@ -296,7 +296,7 @@ def test_merge_all_matches_stepwise_merges_at_every_prefix():
         assert replay(g, sequence_from_vertex_merges(n, script)).per_step_width == tuple(widths)
 
 
-def test_failed_step_in_merge_all_leaves_a_valid_state():
+def test_failed_step_in_merge_leaves_a_valid_state():
     """A dead-part or same-part step raises mid-script; the state keeps the
     steps before it, and its width is the one a scan of the live parts finds."""
     rng = random.Random(4242)
@@ -312,18 +312,18 @@ def test_failed_step_in_merge_all_leaves_a_valid_state():
         state = ContractionState(g)
         initial = state.max_red_degree()
         with pytest.raises(SequenceError, match=message):
-            state.merge_all([*seq.steps[:cut], bad, *seq.steps[cut:]])
+            state.merge([*seq.steps[:cut], bad, *seq.steps[cut:]])
         prefix = replay(g, PartitionSequence(n, seq.steps[:cut]))
         assert state.max_red_degree() == _scanned_width(state) == prefix.per_step_width[-1]
         assert len(state.live) == n - cut
         risen += state.max_red_degree() > initial
         # the state goes on from where the failed step left it
-        assert state.merge_all(seq.steps[cut:]) == list(replay(g, seq).per_step_width[cut:])
+        assert state.merge(seq.steps[cut:]) == list(replay(g, seq).per_step_width[cut:])
     assert risen > 5
 
 
 def test_replay_is_one_merge_loop(monkeypatch):
-    """Replay runs the merge loop once: no merge call and no width query per step."""
+    """Replay runs the merge loop once: one merge call and no width query per step."""
     inst = build_3col(random_formula(10, 40, Dialect.NAE_THREE_SAT, random.Random(10)))
     seq = build_3col_4sequence(inst)
     calls = {"merge": 0, "max_red_degree": 0}
@@ -337,5 +337,5 @@ def test_replay_is_one_merge_loop(monkeypatch):
         monkeypatch.setattr(ContractionState, name, counted)
     ok, profile = verify_d_sequence(inst.graph, seq, 4)
     assert ok and len(profile.per_step_width) == inst.graph.n - 1 > 500
-    assert calls["merge"] == 0
+    assert calls["merge"] == 1
     assert calls["max_red_degree"] <= 1

@@ -43,7 +43,7 @@ def test_every_prefix_matches_quotient(case):
     parts = {v: {v} for v in range(g.n)}
     assert state.max_red_degree() == max_red_degree(g)
     for a, b in merges:
-        state.merge(a, b)
+        state.merge([(a, b)])
         parts[a] |= parts.pop(b)
         reps = sorted(parts)
         by_def = quotient_by_definition(g, [parts[r] for r in reps])
@@ -67,4 +67,4 @@ def test_fitting_pairs_match_the_merged_copies(case):
         for d in range(state.max_red_degree(), g.n + 1):
             assert list(state.fitting_pairs(d)) == [p for p, w in widths.items() if w <= d]
         assert (pair_colors(state), state.red_count) == (colors, count)
-        state.merge(a, b)
+        state.merge([(a, b)])

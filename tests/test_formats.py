@@ -132,6 +132,9 @@ TRIGRAPH_TEXTS = [
     ("tgf 3 2 0\nb 01 2\nb 1 3\n", None),
     ("tgf 3 1 0\nb 1 2\nb 1 x\n", "ParseError: malformed edge line: 'b 1 x'"),
     ("tgf\t3\t1\t1\nb\t1\t3\nr 2\t3 # note\n", None),
+    # the tag is the whole first token, not a prefix of it
+    ("tgfoo 2 1 0\nb 1 2\n", "ParseError: missing 'tgf' header"),
+    ("tgf3 0 0 0\n", "ParseError: missing 'tgf' header"),
 ]
 
 
@@ -205,6 +208,7 @@ SEQUENCE_TEXTS = [
     ("seq -1 0\n", "ParseError: vertex count must be non-negative, got -1"),
     ("seq 3\n", "ParseError: malformed header: 'seq 3'"),
     ("m 1 2\n", "ParseError: missing 'seq' header"),
+    ("seqx 2 1\nm 1 2\n", "ParseError: missing 'seq' header"),
 ]
 
 

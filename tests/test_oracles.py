@@ -302,18 +302,19 @@ def test_exact_twinwidth_beats_the_greedy_bound():
 
 
 def test_exact_twinwidth_budget_zero_scores_no_pair(monkeypatch):
-    calls = 0
-    fitting_pairs = ContractionState.fitting_pairs
+    """Budget 0 stops at the first level's count: no state is built and no pair scored."""
+    calls = {"__init__": 0, "fitting_pairs": 0}
+    for name in calls:
+        original = getattr(ContractionState, name)
 
-    def counted(self, d):
-        nonlocal calls
-        calls += 1
-        return fitting_pairs(self, d)
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
 
-    monkeypatch.setattr(ContractionState, "fitting_pairs", counted)
+        monkeypatch.setattr(ContractionState, name, counted)
     with pytest.raises(BudgetExceeded):
         exact_twinwidth(_gnp(40, 0.1, 40), budget=0)
-    assert calls == 0
+    assert calls == {"__init__": 0, "fitting_pairs": 0}
 
 
 def test_exact_twinwidth_copies_only_the_states_it_descends_into(monkeypatch):
